@@ -1,0 +1,94 @@
+"""Frozen golden outputs: exact bits of small seeded fits and estimates.
+
+Any change to the training loop, the estimators or the neighbor code that
+is meant to be a pure refactor or speed-up must leave every pin here
+untouched.  A change that moves a pin on purpose says why in CHANGES.md and
+updates the pin in the same commit.
+"""
+
+import hashlib
+
+from cmikit.cit import run_cit_benchmark
+from cmikit.datagen import ModelSpec, gen_linear
+from cmikit.estimators import (
+    EstimatorConfig,
+    bias_corrected_cmi,
+    f_mine_diff_cmi,
+    generator_classifier_cmi,
+    mi_diff_cmi,
+)
+from cmikit.knn import ksg_cmi_sweep
+from cmikit.nn import MlpArchitecture, TrainConfig, train_binary_classifier, train_f_mine_critic
+from cmikit.seeding import rng_from
+
+
+def _parameter_digest(c):
+    h = hashlib.sha256()
+    for a in (*c.weights, *c.biases):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _classes():
+    # unequal class sizes, so the balancing subsample is part of the pin
+    rng = rng_from(901)
+    return rng.normal(0.5, 1.0, size=(150, 3)), rng.normal(-0.5, 1.0, size=(130, 3))
+
+
+def _linear_dz2():
+    d, _ = gen_linear("I", d_z=2, n=400, seed=902)
+    return d
+
+
+def test_golden_binary_classifier_fit():
+    pos, neg = _classes()
+    c = train_binary_classifier(pos, neg, MlpArchitecture(3, (16, 8)), TrainConfig(epochs=4, seed=7))
+    assert _parameter_digest(c) == "0b4afb8c8ef5c397786e103eae153a84e6874bedab53cf430ceaf87fa33690ab"
+    assert repr(c.epoch_losses) == (
+        "[0.6843926898212475, 0.6622387679751363, 0.641911115725705, 0.6227331906183482]"
+    )
+
+
+def test_golden_f_mine_critic_fit():
+    pos, neg = _classes()
+    cfg = TrainConfig(
+        batch_size=32, learning_rate=1e-3, adam_beta1=0.5, epochs=5, l2_coefficient=0.0, seed=8
+    )
+    c = train_f_mine_critic(pos, neg, cfg, hidden_layer_sizes=(12,))
+    assert _parameter_digest(c) == "c8fe8da4bb7d48ac1dd58711ee0716fbb8c72a5723ecd92c4d22464bc41c85e3"
+    assert repr(c.epoch_losses) == (
+        "[2.5006896165049177, 2.4087740166789455, 2.3187606078654923, "
+        "2.2312795420668374, 2.147921751163351]"
+    )
+
+
+def test_golden_ccmi():
+    assert repr(mi_diff_cmi(_linear_dz2(), EstimatorConfig(seed=3)).value) == "1.0937435720975075"
+
+
+def test_golden_gen_classifier():
+    est = generator_classifier_cmi(_linear_dz2(), EstimatorConfig(seed=3))
+    assert repr(est.value) == "0.6460517762120394"
+
+
+def test_golden_ksg():
+    sweep = ksg_cmi_sweep(_linear_dz2(), [3, 5], seed=3)
+    assert repr(sweep) == "{3: 1.8219491491952646, 5: 1.7235842449569212}"
+
+
+def test_golden_f_mine_diff():
+    assert repr(f_mine_diff_cmi(_linear_dz2()).value) == "0.10886818115879093"
+
+
+def test_golden_bias_corrected():
+    est = bias_corrected_cmi(_linear_dz2(), EstimatorConfig(seed=3))
+    assert repr(est.value) == "0.6809746862979054"
+
+
+def test_golden_cit_scores():
+    specs = [
+        ModelSpec(kind="post-nonlinear", n=300, d_z=2, dependent=dep, seed=903)
+        for dep in (True, False)
+    ]
+    bench = run_cit_benchmark(specs, EstimatorConfig(), seed=4)
+    assert repr(bench.scores) == "(0.1414534804464569, 0.0552894676554152)"
