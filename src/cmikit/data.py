@@ -5,6 +5,7 @@ an X block, a Y block, and an optional conditioning block Z (``d_z = 0``
 means no conditioning).  All arrays are float64 and immutable by convention.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,9 @@ def _expected_header(d_x: int, d_y: int, d_z: int) -> list[str]:
 def load_csv(path, d_x: int, d_y: int, d_z: int = 0) -> SampleSet:
     """Read a ``x0..,y0..,z0..`` CSV into a SampleSet, preserving row order.
 
-    Header and every cell are validated; errors report the 1-based line
-    number.  Comma-delimited, ``.`` decimal separator, no quoting.
+    Header and every cell are validated (cells must be finite numbers);
+    errors report the 1-based line number.  Comma-delimited, ``.`` decimal
+    separator, no quoting.
     """
     expected = _expected_header(d_x, d_y, d_z)
     rows = []
@@ -122,9 +124,12 @@ def load_csv(path, d_x: int, d_y: int, d_z: int = 0) -> SampleSet:
                     f"line {lineno}: expected {len(expected)} cells, got {len(cells)}"
                 )
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError as e:
                 raise CsvFormatError(f"line {lineno}: non-numeric cell ({e})") from None
+            if not all(map(math.isfinite, row)):
+                raise CsvFormatError(f"line {lineno}: non-finite cell (nan or inf)")
+            rows.append(row)
     if not rows:
         raise CsvFormatError("no samples: data section is empty")
     m = np.asarray(rows, dtype=np.float64)

@@ -24,6 +24,7 @@ from .divergence import (
 from .knn import knn_permute_apply
 from .nn import (
     MlpArchitecture,
+    TrainingDivergedError,
     f_critic_objective,
     predict_proba,
     train_binary_classifier,
@@ -314,7 +315,9 @@ def hyperparam_select(d, candidates, estimator: Callable = mi_diff_cmi):
 
     The plug-in estimates a lower bound, so among configurations the largest
     finite estimate is the principled pick.  Returns (config, estimate).
-    Raises if every candidate fails.
+    A candidate whose training diverges or that rejects its input
+    (``TrainingDivergedError``, ``ValueError``) counts as failed; any other
+    exception propagates.  Raises if every candidate fails.
     """
     candidates = list(candidates)
     if not candidates:
@@ -324,7 +327,7 @@ def hyperparam_select(d, candidates, estimator: Callable = mi_diff_cmi):
     for cand in candidates:
         try:
             est = estimator(d, cand)
-        except Exception as exc:  # noqa: BLE001 - candidate failures are data
+        except (TrainingDivergedError, ValueError) as exc:  # candidate failures are data
             failures.append((cand, exc))
             continue
         if best is None or est.value > best[1].value:

@@ -56,6 +56,27 @@ class MlpArchitecture:
         dims = [self.input_dim, *self.hidden_layer_sizes, 1]
         return list(zip(dims[:-1], dims[1:]))
 
+    @property
+    def n_params(self) -> int:
+        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.layer_dims)
+
+
+def _layer_views(flat: np.ndarray, arch: MlpArchitecture):
+    """Per-layer (weights, biases) views into one flat vector.
+
+    The layout is every weight matrix in layer order (row-major), then every
+    bias vector in layer order.  Writes through a view land in ``flat``.
+    """
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in arch.layer_dims:
+        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+    for _, fan_out in arch.layer_dims:
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -83,6 +104,12 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
+    """Adam's first and second moments, each one flat vector laid out like the
+    classifier's parameters; ``m_w``/``m_b`` and ``v_w``/``v_b`` are per-layer
+    views into ``m`` and ``v``."""
+
+    m: np.ndarray
+    v: np.ndarray
     m_w: list[np.ndarray]
     v_w: list[np.ndarray]
     m_b: list[np.ndarray]
@@ -90,25 +117,29 @@ class AdamState:
     step: int = 0
 
     @classmethod
-    def zeros_like(cls, weights, biases) -> "AdamState":
-        return cls(
-            m_w=[np.zeros_like(w) for w in weights],
-            v_w=[np.zeros_like(w) for w in weights],
-            m_b=[np.zeros_like(b) for b in biases],
-            v_b=[np.zeros_like(b) for b in biases],
-        )
+    def zeros(cls, arch: MlpArchitecture) -> "AdamState":
+        m = np.zeros(arch.n_params)
+        v = np.zeros(arch.n_params)
+        m_w, m_b = _layer_views(m, arch)
+        v_w, v_b = _layer_views(v, arch)
+        return cls(m, v, m_w, v_w, m_b, v_b)
 
 
 @dataclass
 class MlpClassifier:
     """Weights, biases, and optimizer state of one binary classifier.
 
+    All parameters live in the one contiguous vector ``params``; ``weights``
+    and ``biases`` are per-layer views into it, so writing through them
+    changes the classifier.  Build one with :func:`mlp_init` only.
+
     Mutated only while its owning training loop runs; treat as immutable
     afterwards.  ``epoch_losses`` records the full-training-set objective
-    after each epoch.
+    after each epoch, computed by a forward pass alone.
     """
 
     architecture: MlpArchitecture
+    params: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     adam: AdamState
@@ -118,13 +149,13 @@ class MlpClassifier:
 def mlp_init(arch: MlpArchitecture, seed: int) -> MlpClassifier:
     """Fan-in-scaled Gaussian weights (He scaling before ReLU), zero biases."""
     rng = rng_from(seed)
-    weights, biases = [], []
+    params = np.zeros(arch.n_params)
+    weights, biases = _layer_views(params, arch)
     n_layers = len(arch.layer_dims)
     for li, (fan_in, fan_out) in enumerate(arch.layer_dims):
         gain = 2.0 if li < n_layers - 1 else 1.0  # ReLU follows all but the last
-        weights.append(rng.normal(0.0, np.sqrt(gain / fan_in), size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpClassifier(arch, weights, biases, AdamState.zeros_like(weights, biases))
+        weights[li][...] = rng.normal(0.0, np.sqrt(gain / fan_in), size=(fan_in, fan_out))
+    return MlpClassifier(arch, params, weights, biases, AdamState.zeros(arch))
 
 
 def _forward(c: MlpClassifier, x: np.ndarray):
@@ -143,6 +174,8 @@ def _forward(c: MlpClassifier, x: np.ndarray):
 
 
 def predict_logit(c: MlpClassifier, x: np.ndarray) -> np.ndarray:
+    """Logit per row of ``x``: the arithmetic of ``_forward`` without keeping
+    the per-layer activations."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -151,7 +184,12 @@ def predict_logit(c: MlpClassifier, x: np.ndarray) -> np.ndarray:
             f"input has {x.shape[1]} features, classifier expects "
             f"{c.architecture.input_dim}"
         )
-    return _forward(c, x)[2]
+    h = x
+    last = len(c.weights) - 1
+    for li, (w, b) in enumerate(zip(c.weights, c.biases)):
+        z = h @ w + b
+        h = z if li == last else np.maximum(z, 0.0)
+    return h[:, 0]
 
 
 def forward_logit(c: MlpClassifier, x) -> float:
@@ -163,12 +201,9 @@ def forward_logit(c: MlpClassifier, x) -> float:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; each branch is the stable form for its sign of z
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def predict_proba(c: MlpClassifier, x) -> np.ndarray:
@@ -195,6 +230,12 @@ def _l2_penalty(c: MlpClassifier, l2: float) -> float:
     return l2 * float(sum(np.sum(w * w) for w in c.weights))
 
 
+def _bce_objective(c: MlpClassifier, logit: np.ndarray, y: np.ndarray, l2: float) -> float:
+    # softplus(z) - y*z is BCE on logits without overflow for large |z|
+    softplus = np.maximum(logit, 0.0) + np.log1p(np.exp(-np.abs(logit)))
+    return float(np.mean(softplus - y * logit)) + _l2_penalty(c, l2)
+
+
 def _backprop(c: MlpClassifier, acts, pre, dlogit, l2: float):
     """Gradients of (objective + l2 * sum w^2) given d(objective)/d(logit)."""
     grads_w = [None] * len(c.weights)
@@ -217,31 +258,29 @@ def loss_and_gradients(c: MlpClassifier, x: np.ndarray, labels: np.ndarray, l2: 
     """
     acts, pre, logit = _forward(c, x)
     y = np.asarray(labels, dtype=np.float64)
-    n = x.shape[0]
-    softplus = np.maximum(logit, 0.0) + np.log1p(np.exp(-np.abs(logit)))
-    loss = float(np.mean(softplus - y * logit)) + _l2_penalty(c, l2)
-    dlogit = (_sigmoid(logit) - y) / n
+    loss = _bce_objective(c, logit, y, l2)
+    dlogit = (_sigmoid(logit) - y) / x.shape[0]
     grads_w, grads_b = _backprop(c, acts, pre, dlogit, l2)
     return loss, grads_w, grads_b
 
 
 def adam_step(c: MlpClassifier, grads_w, grads_b, cfg: TrainConfig) -> None:
-    """One in-place Adam update of all parameters."""
+    """One in-place Adam update of all parameters.
+
+    The per-layer gradients are gathered into one vector in the layout of
+    ``c.params``, so the update is a single pass over flat buffers.
+    """
+    g = np.concatenate([a.ravel() for a in (*grads_w, *grads_b)])
     st = c.adam
     st.step += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     c1 = 1.0 - b1**st.step
     c2 = 1.0 - b2**st.step
-    for params, grads, ms, vs in (
-        (c.weights, grads_w, st.m_w, st.v_w),
-        (c.biases, grads_b, st.m_b, st.v_b),
-    ):
-        for p, g, m, v in zip(params, grads, ms, vs):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    st.m *= b1
+    st.m += (1.0 - b1) * g
+    st.v *= b2
+    st.v += (1.0 - b2) * g * g
+    c.params -= cfg.learning_rate * (st.m / c1) / (np.sqrt(st.v / c2) + ADAM_EPS)
 
 
 def _balanced_classes(pos, neg, seed: int):
@@ -266,9 +305,8 @@ def _balanced_classes(pos, neg, seed: int):
 def _check_finite(c: MlpClassifier, loss: float, where: str) -> None:
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss at {where}")
-    for w in c.weights:
-        if not np.all(np.isfinite(w)):
-            raise TrainingDivergedError(f"non-finite parameters at {where}")
+    if not np.all(np.isfinite(c.params)):
+        raise TrainingDivergedError(f"non-finite parameters at {where}")
 
 
 def train_binary_classifier(
@@ -299,7 +337,7 @@ def train_binary_classifier(
                     f"non-finite loss at epoch {epoch}, batch offset {start}"
                 )
             adam_step(c, gw, gb, cfg)
-        full, _, _ = loss_and_gradients(c, x, y, cfg.l2_coefficient)
+        full = _bce_objective(c, predict_logit(c, x), y, cfg.l2_coefficient)
         _check_finite(c, full, f"end of epoch {epoch}")
         c.epoch_losses.append(full)
     return c

@@ -65,6 +65,14 @@ def test_load_csv_bad_cell_reports_line(tmp_path):
         load_csv(p, 1, 1, 0)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_load_csv_non_finite_cell_reports_line(tmp_path, cell):
+    p = tmp_path / "d.csv"
+    p.write_text(f"x0,y0\n1,2\n\n3,{cell}\n")
+    with pytest.raises(CsvFormatError, match="line 4: non-finite"):
+        load_csv(p, 1, 1, 0)
+
+
 def test_load_csv_short_row_reports_line(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("x0,y0,z0\n1,2,3\n4,5\n")

@@ -240,6 +240,16 @@ def test_selection_requires_candidates_and_survives_failures():
         hyperparam_select((d.x, d.y), [EstimatorConfig()], estimator=broken)
 
 
+def test_selection_does_not_swallow_programming_errors():
+    d, _ = gen_gauss_corr(d=1, rho=0.6, n=500, seed=0)
+
+    def misused(pair, cfg):
+        raise TypeError("wrong call")
+
+    with pytest.raises(TypeError, match="wrong call"):
+        hyperparam_select((d.x, d.y), [EstimatorConfig()], estimator=misused)
+
+
 def test_default_candidate_grid_shape():
     grid = default_candidates(seed=3)
     assert len(grid) == 4

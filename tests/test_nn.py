@@ -8,6 +8,8 @@ from cmikit.nn import (
     MlpArchitecture,
     MlpClassifier,
     TrainConfig,
+    TrainingDivergedError,
+    _check_finite,
     adam_step,
     bce_loss,
     f_critic_objective,
@@ -256,3 +258,23 @@ def test_classifier_is_dataclass():
     c = mlp_init(MlpArchitecture(2, (4,)), seed=0)
     assert isinstance(c, MlpClassifier)
     assert c.epoch_losses == []
+
+
+def test_parameters_are_views_into_one_flat_buffer():
+    c = mlp_init(MlpArchitecture(3, (8, 4)), seed=0)
+    assert c.params.size == c.architecture.n_params == 3 * 8 + 8 * 4 + 4 * 1 + 8 + 4 + 1
+    c.biases[1][2] = 7.0
+    c.weights[2][3, 0] = -5.0
+    assert np.count_nonzero(c.params == 7.0) == 1
+    assert np.count_nonzero(c.params == -5.0) == 1
+    for views, flat in ((c.adam.m_w + c.adam.m_b, c.adam.m), (c.adam.v_w + c.adam.v_b, c.adam.v)):
+        assert all(np.shares_memory(a, flat) for a in views)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_non_finite_bias_is_caught(value):
+    # a -inf hidden bias is rectified away, so the loss alone stays finite
+    c = mlp_init(MlpArchitecture(2, (4,)), seed=0)
+    c.biases[0][1] = value
+    with pytest.raises(TrainingDivergedError, match="non-finite parameters"):
+        _check_finite(c, 0.5, "end of epoch 0")
