@@ -79,7 +79,6 @@ class DivergenceEstimate:
     value: float
     per_iteration: tuple[float, ...]
     mean_eval_accuracy: float
-    calibration_bins: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "per_iteration", tuple(self.per_iteration))

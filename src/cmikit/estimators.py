@@ -46,7 +46,7 @@ __all__ = [
     "hyperparam_select",
 ]
 
-GENERATOR_KINDS = ("knn-permutation", "none")
+GENERATOR_KINDS = ("knn-permutation",)
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,6 @@ def generator_classifier_cmi(
         raise ValueError("generator path needs a conditioning block")
     if d.n < 8:
         raise ValueError("need at least 8 samples")
-    if cfg.generator != "knn-permutation":
-        raise ValueError("generator_classifier_cmi requires generator='knn-permutation'")
     b = cfg.bootstrap or 10
     vals = []
     for i in range(b):
@@ -287,8 +285,6 @@ def bias_corrected_cmi(
         raise ValueError("generator path needs a conditioning block")
     if d.n < 8:
         raise ValueError("need at least 8 samples")
-    if cfg.generator != "knn-permutation":
-        raise ValueError("bias_corrected_cmi requires generator='knn-permutation'")
     b = cfg.bootstrap or 10
     vals, mains, corrections = [], [], []
     for i in range(b):

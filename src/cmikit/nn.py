@@ -173,9 +173,25 @@ def _forward(c: MlpClassifier, x: np.ndarray):
     return acts, pre, pre[-1][:, 0]
 
 
+# Rows per block in predict_logit.  At the default 64-wide layers a 64-row
+# block's largest product is 64*64*64 multiply-adds, well under the size at
+# which OpenBLAS 0.3.31 hands a product to its worker thread (between 983040
+# and 1044480 multiply-adds, measured on 2 cores), so evaluation never wakes
+# that thread, which would then spin between epochs.  Block starts must be
+# multiples of 4 rows for the logits to keep the bits of a one-shot forward:
+# on OpenBLAS, blocks of 16, 32, 64, 100, 128 and 256 rows match it with any
+# ragged tail of two or more rows; 50 and 186 do not.
+_BLOCK_ROWS = 64
+
+
 def predict_logit(c: MlpClassifier, x: np.ndarray) -> np.ndarray:
-    """Logit per row of ``x``: the arithmetic of ``_forward`` without keeping
-    the per-layer activations."""
+    """Logit per row of ``x``, evaluated by ``_forward`` in blocks of
+    ``_BLOCK_ROWS`` rows.
+
+    At the default layer widths, small blocks keep every matrix product
+    single-threaded in BLAS, and they keep the intermediates small.  The
+    result has the bits of one forward over all rows at once.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -184,12 +200,14 @@ def predict_logit(c: MlpClassifier, x: np.ndarray) -> np.ndarray:
             f"input has {x.shape[1]} features, classifier expects "
             f"{c.architecture.input_dim}"
         )
-    h = x
-    last = len(c.weights) - 1
-    for li, (w, b) in enumerate(zip(c.weights, c.biases)):
-        z = h @ w + b
-        h = z if li == last else np.maximum(z, 0.0)
-    return h[:, 0]
+    n = x.shape[0]
+    out = np.empty(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        # numpy sends a one-row product to gemv, whose sums differ from those
+        # of gemm; a lone last row goes with the four rows before it instead
+        lo = start - 4 if start and n - start == 1 else start
+        out[lo : start + _BLOCK_ROWS] = _forward(c, x[lo : start + _BLOCK_ROWS])[2]
+    return out
 
 
 def forward_logit(c: MlpClassifier, x) -> float:
@@ -227,7 +245,14 @@ def bce_loss(probabilities, labels) -> float:
 def _l2_penalty(c: MlpClassifier, l2: float) -> float:
     if l2 == 0.0:
         return 0.0
-    return l2 * float(sum(np.sum(w * w) for w in c.weights))
+    # One square over the flat buffer, then one sum per layer over the weights,
+    # its prefix in layer order: the same bits as summing each w * w.
+    sq = np.square(c.params)
+    total, offset = 0.0, 0
+    for w in c.weights:
+        total += np.add.reduce(sq[offset : offset + w.size])
+        offset += w.size
+    return l2 * float(total)
 
 
 def _bce_objective(c: MlpClassifier, logit: np.ndarray, y: np.ndarray, l2: float) -> float:

@@ -17,6 +17,7 @@ from cmikit.estimators import (
     mi_diff_cmi,
     with_train,
 )
+from cmikit.knn import ksg_cmi_sweep
 
 
 def mi_on_pair(pair, cfg):
@@ -312,3 +313,19 @@ def test_input_validation():
         EstimatorConfig(generator="gan")
     with pytest.raises(ValueError):
         EstimatorConfig(generator_k=0)
+
+
+# ------------------------------------------------------- thread-count independence
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda d: ksg_cmi_sweep(d, [3, 5], seed=2),
+    lambda d: generator_classifier_cmi(d, EstimatorConfig(bootstrap=2, seed=3)).value,
+])
+def test_estimates_do_not_depend_on_cmikit_threads(monkeypatch, estimate):
+    d, _ = gen_linear("I", d_z=3, n=400, seed=61)
+    values = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CMIKIT_THREADS", threads)
+        values.append(estimate(d))
+    assert values[0] == values[1]

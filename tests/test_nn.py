@@ -10,12 +10,14 @@ from cmikit.nn import (
     TrainConfig,
     TrainingDivergedError,
     _check_finite,
+    _l2_penalty,
     adam_step,
     bce_loss,
     f_critic_objective,
     forward_logit,
     loss_and_gradients,
     mlp_init,
+    predict_logit,
     predict_proba,
     train_binary_classifier,
     train_f_mine_critic,
@@ -70,10 +72,36 @@ def test_passthrough_linear_logit():
 def test_sigmoid_identity():
     c = mlp_init(MlpArchitecture(3, (16, 16)), seed=5)
     x = rng_from(1).normal(size=(50, 3))
-    from cmikit.nn import predict_logit
-
     logit = predict_logit(c, x)
     np.testing.assert_allclose(predict_proba(c, x), 1.0 / (1.0 + np.exp(-logit)), rtol=1e-12)
+
+
+def _one_shot_logit(c, x):
+    # every layer over the whole matrix at once
+    h = x
+    for li, (w, b) in enumerate(zip(c.weights, c.biases)):
+        h = h @ w + b
+        if li < len(c.weights) - 1:
+            h = np.maximum(h, 0.0)
+    return h[:, 0]
+
+
+@pytest.mark.parametrize("hidden", [(64, 64), (16, 8)])
+@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 997])
+def test_blocked_predict_matches_one_shot_forward(hidden, n_rows):
+    c = mlp_init(MlpArchitecture(22, hidden), seed=3)
+    c.biases[0][:] = rng_from(4).normal(size=hidden[0])
+    x = rng_from(5).normal(size=(n_rows, 22))
+    logit = predict_logit(c, x)
+    assert logit.shape == (n_rows,)
+    assert np.array_equal(logit, _one_shot_logit(c, x))
+
+
+def test_forward_logit_is_predict_logit_on_one_row():
+    c = mlp_init(MlpArchitecture(5, (16, 8)), seed=6)
+    x = rng_from(7).normal(size=5)
+    assert forward_logit(c, x) == _one_shot_logit(c, x[None, :])[0]
+    assert predict_logit(c, x).shape == (1,)
 
 
 def test_forward_logit_dim_mismatch():
@@ -126,6 +154,14 @@ def test_gradient_matches_finite_differences():
                 total += 1
                 ok += rel < 1e-4
     assert ok / total >= 0.99
+
+
+def test_l2_penalty_has_the_bits_of_per_layer_sums():
+    c = mlp_init(MlpArchitecture(22, (64, 64)), seed=8)
+    c.params[:] = rng_from(9).normal(size=c.params.size)
+    reference = 1e-3 * float(sum(np.sum(w * w) for w in c.weights))
+    assert _l2_penalty(c, 1e-3) == reference
+    assert _l2_penalty(c, 0.0) == 0.0
 
 
 def test_adam_zero_gradient_noop():
