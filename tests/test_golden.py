@@ -76,6 +76,13 @@ def test_golden_ksg():
     assert repr(sweep) == "{3: 1.8219491491952646, 5: 1.7235842449569212}"
 
 
+def test_golden_ksg_dz20():
+    # wide conditioning block, where the z-subspace counts dominate the sweep
+    d, _ = gen_linear("I", d_z=20, n=301, seed=904)
+    sweep = ksg_cmi_sweep(d, [3, 5, 10], seed=5)
+    assert repr(sweep) == "{3: 0.9314051841486738, 5: 0.9071043027956199, 10: 0.8515671023545541}"
+
+
 def test_golden_f_mine_diff():
     assert repr(f_mine_diff_cmi(_linear_dz2()).value) == "0.10886818115879093"
 
