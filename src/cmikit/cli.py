@@ -128,14 +128,9 @@ def _int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _workers() -> int:
-    w = n_workers()
-    return (os.cpu_count() or 1) if w < 1 else w
-
-
 def _parallel_map(fn, items):
     """Index-ordered map, threaded when CMIKIT_THREADS allows it."""
-    workers = min(_workers(), len(items)) if items else 1
+    workers = min(n_workers(), len(items)) if items else 1
     if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

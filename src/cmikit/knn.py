@@ -2,12 +2,14 @@
 
 The KSG conditional estimator and the conditional resampler both work on
 Chebyshev (max-norm) distances.  Small exact queries go through the kd-tree
-here; the estimators lean on scipy's cKDTree for the all-pairs counting
-passes, which matters once n reaches the tens of thousands.
+here; k-th neighbor radii and ``ksg_mi``'s ball counts come from scipy's
+cKDTree, and the conditional estimator's z, xz and yz ball counts from blocked
+dense distance passes, since a wide z block turns tree ball queries into scans.
 """
 
 import heapq
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,13 +30,14 @@ __all__ = [
 ]
 
 _LEAF_SIZE = 16
+_BLOCK_ROWS = 64  # query rows per distance block: three (64, n) float buffers per thread
 JITTER_SCALE = 1e-10
 
 EULER_GAMMA = 0.5772156649015328606
 
 
 def n_workers() -> int:
-    """Thread count for the scipy tree queries, from CMIKIT_THREADS (default: all)."""
+    """Worker thread count: CMIKIT_THREADS if positive, else every core this process may use."""
     raw = os.environ.get("CMIKIT_THREADS", "").strip()
     if raw:
         try:
@@ -43,7 +46,9 @@ def n_workers() -> int:
             raise ValueError(f"CMIKIT_THREADS must be an integer, got {raw!r}")
         if w > 0:
             return w
-    return -1
+    if hasattr(os, "sched_getaffinity"):  # honours CPU affinity where the OS has it
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # --- hand-built max-norm kd-tree -------------------------------------------
@@ -177,39 +182,51 @@ def _avg_digamma_counts(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return np.asarray(counts) - 1  # self always counted at distance 0
 
 
-_PAIR_CHUNK = 400_000
+def _max_abs_diff(dist, rows, cols_t, tmp):
+    """Max-accumulate |rows[:, c] - cols_t[c]| over every coordinate c into ``dist``."""
+    for c in range(cols_t.shape[0]):
+        np.subtract(rows[:, c, None], cols_t[c], out=tmp)
+        np.abs(tmp, out=tmp)
+        np.maximum(dist, tmp, out=dist)
 
 
-def _subspace_counts(x, y, z, radii_by_k):
-    """Strict ball counts (self excluded) in the z, xz, and yz subspaces.
+def _count_inside(out, dist, radii, hit):
+    """out[j, i] = #{l : dist[i, l] < radii[i, j]} - 1, the -1 for row i itself."""
+    for j in range(radii.shape[1]):
+        np.less(dist, radii[:, j, None], out=hit)
+        out[j] = np.count_nonzero(hit, axis=1) - 1
 
-    One tree pass collects candidates inside the largest per-point radius in
-    z-space; every (k, subspace) count is then derived from those pairs.
-    In the max metric a pair is inside an xz-ball iff it is inside both the
-    z-ball and the x-interval, so no further tree work is needed.  Much
-    cheaper than three tree passes per k once d_z is large, where ball
-    queries degrade toward linear scans.
+
+def _ball_counts(x, y, z, radii):
+    """Strict max-norm ball counts, self excluded, in the z, xz and yz subspaces.
+
+    ``radii`` has one column per k; the result is (columns, 3, n) in z, xz, yz
+    order.  Blocks of _BLOCK_ROWS query rows get their distances to all n
+    points one coordinate at a time (the xz distance is max(z, x distance)),
+    dealt out to n_workers() threads; integer counts cannot depend on that.
     """
     n = z.shape[0]
-    r_max = radii_by_k[max(radii_by_k)]  # k-th NN distance grows with k
-    lists = cKDTree(z).query_ball_point(
-        z, np.nextafter(r_max, 0.0), p=np.inf, workers=n_workers()
-    )
-    lens = np.fromiter((len(l) for l in lists), dtype=np.intp, count=n)
-    j_flat = np.fromiter((j for l in lists for j in l), dtype=np.intp, count=int(lens.sum()))
-    i_flat = np.repeat(np.arange(n), lens)
-    counts = {k: np.full((3, n), -1, dtype=np.int64) for k in radii_by_k}  # -1 removes self-pairs
-    for s in range(0, j_flat.size, _PAIR_CHUNK):
-        ii, jj = i_flat[s : s + _PAIR_CHUNK], j_flat[s : s + _PAIR_CHUNK]
-        dz = np.max(np.abs(z[ii] - z[jj]), axis=1)
-        dx = np.max(np.abs(x[ii] - x[jj]), axis=1)
-        dy = np.max(np.abs(y[ii] - y[jj]), axis=1)
-        for k, r in radii_by_k.items():
-            rk = r[ii]
-            in_z = dz < rk
-            counts[k][0] += np.bincount(ii[in_z], minlength=n)
-            counts[k][1] += np.bincount(ii[in_z & (dx < rk)], minlength=n)
-            counts[k][2] += np.bincount(ii[in_z & (dy < rk)], minlength=n)
+    xt, yt, zt = (np.ascontiguousarray(a.T) for a in (x, y, z))
+    counts = np.empty((radii.shape[1], 3, n), dtype=np.int64)
+
+    def work(starts):
+        bufs = [np.empty((_BLOCK_ROWS, n)) for _ in range(3)] + [np.empty((_BLOCK_ROWS, n), bool)]
+        for s in starts:
+            e = min(s + _BLOCK_ROWS, n)
+            dz, dyz, tmp, hit = (b[: e - s] for b in bufs)
+            dz.fill(0.0)
+            _max_abs_diff(dz, z[s:e], zt, tmp)
+            _count_inside(counts[:, 0, s:e], dz, radii[s:e], hit)
+            np.copyto(dyz, dz)
+            _max_abs_diff(dyz, y[s:e], yt, tmp)
+            _count_inside(counts[:, 2, s:e], dyz, radii[s:e], hit)
+            _max_abs_diff(dz, x[s:e], xt, tmp)  # dz now holds the xz distances
+            _count_inside(counts[:, 1, s:e], dz, radii[s:e], hit)
+
+    starts = range(0, n, _BLOCK_ROWS)
+    w = min(n_workers(), len(starts))
+    with ThreadPoolExecutor(max_workers=w) as pool:
+        list(pool.map(work, [starts[i::w] for i in range(w)]))
     return counts
 
 
@@ -226,9 +243,8 @@ def ksg_cmi_sweep(d: SampleSet, ks, seed: int = 0) -> dict[int, float]:
     x, y, z = _jitter(d.x, rng), _jitter(d.y, rng), _jitter(d.z, rng)
     joint = np.hstack([x, y, z])
     dists = cKDTree(joint).query(joint, k=ks[-1] + 1, p=np.inf, workers=n_workers())[0]
-    counts = _subspace_counts(x, y, z, {k: dists[:, k] for k in ks})
     out = {}
-    for k, (n_z, n_xz, n_yz) in counts.items():
+    for k, (n_z, n_xz, n_yz) in zip(ks, _ball_counts(x, y, z, dists[:, ks])):
         out[k] = float(
             digamma(k) - np.mean(digamma(n_xz + 1) + digamma(n_yz + 1) - digamma(n_z + 1))
         )

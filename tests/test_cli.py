@@ -296,6 +296,23 @@ def test_sweep_reruns_are_byte_identical(workdir):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_ksg_payloads_do_not_depend_on_cmikit_threads(workdir, monkeypatch):
+    data = workdir / "threads.csv"
+    assert run_cli(["gen", "--model", "linear-I", "--dz", 3, "--n", 400,
+                    "--seed", 8, "--out", data]) == 0
+    payloads = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CMIKIT_THREADS", threads)
+        est, sweep = workdir / f"threads_est_{threads}.json", workdir / f"threads_sw_{threads}.csv"
+        assert run_cli(["estimate", "--in", data, "--method", "ksg", "--k", "3,5",
+                        "--seed", 2, "--out", est]) == 0
+        assert run_cli(["sweep", "--model", "linear-I", "--method", "ksg",
+                        "--n-grid", 300, "--dz-grid", 3, "--runs", 2,
+                        "--seed", 3, "--out", sweep]) == 0
+        payloads.append((est.read_bytes(), sweep.read_bytes()))  # manifests carry duration_s
+    assert payloads[0] == payloads[1]
+
+
 def test_sweep_missing_dz_grid_is_usage_error(workdir):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sweep", "--model", "nonlinear", "--method", "ksg",

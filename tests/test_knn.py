@@ -1,9 +1,21 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from cmikit.data import SampleSet
 from cmikit.datagen import gen_gauss_corr, gen_linear
-from cmikit.knn import KdTree, digamma, knn_permute_generator, knn_query, ksg_cmi, ksg_mi
+from cmikit.knn import (
+    KdTree,
+    _ball_counts,
+    digamma,
+    knn_permute_generator,
+    knn_query,
+    ksg_cmi,
+    ksg_mi,
+    n_workers,
+)
 from cmikit.seeding import rng_from
 
 
@@ -132,6 +144,60 @@ def test_ksg_cmi_high_dim_underestimates(model1_dz20, ksg_sweep_model1_dz20):
     _, truth = model1_dz20
     assert truth.value > 2.3  # the target it should be near but is not
     assert max(ksg_sweep_model1_dz20.values()) < 1.5
+
+
+def brute_chebyshev(points):
+    return np.max(np.abs(points[:, None, :] - points[None, :, :]), axis=2)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("rounded", [False, True])
+@pytest.mark.parametrize("dz", [1, 4])
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 129])
+def test_ball_counts_match_brute_force(monkeypatch, threads, rounded, dz, n):
+    monkeypatch.setenv("CMIKIT_THREADS", threads)
+    rng = rng_from(n, dz)
+    x, y, z = rng.normal(size=(n, 2)), rng.normal(size=(n, 3)), rng.normal(size=(n, dz))
+    if rounded:  # exact distance ties, so some neighbors sit on the radius
+        x, y, z = (np.round(a, 1) for a in (x, y, z))
+    ks = [k for k in (1, 3, 5) if k < n]
+    radii = np.sort(brute_chebyshev(np.hstack([x, y, z])), axis=1)[:, ks]  # column 0 is self
+    got = _ball_counts(x, y, z, radii)
+    d_z = brute_chebyshev(z)
+    subspaces = (d_z, np.maximum(d_z, brute_chebyshev(x)), np.maximum(d_z, brute_chebyshev(y)))
+    for j in range(len(ks)):
+        r = radii[:, j, None]
+        for m, dist in enumerate(subspaces):
+            np.testing.assert_array_equal(got[j, m], np.sum(dist < r, axis=1) - 1)
+
+
+def test_ball_counts_with_more_threads_than_cores(monkeypatch):
+    rng = rng_from(77)
+    x, y, z = rng.normal(size=(1000, 1)), rng.normal(size=(1000, 1)), rng.normal(size=(1000, 3))
+    radii = rng.uniform(0.2, 1.0, size=(1000, 2))
+    monkeypatch.setenv("CMIKIT_THREADS", "1")
+    want = _ball_counts(x, y, z, radii)
+    monkeypatch.setenv("CMIKIT_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _ball_counts(x, y, z, radii)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_n_workers_reads_cmikit_threads(monkeypatch):
+    all_cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    monkeypatch.delenv("CMIKIT_THREADS", raising=False)
+    assert n_workers() == all_cores
+    monkeypatch.setenv("CMIKIT_THREADS", "0")
+    assert n_workers() == all_cores
+    monkeypatch.setenv("CMIKIT_THREADS", "3")
+    assert n_workers() == 3
+    monkeypatch.setenv("CMIKIT_THREADS", "abc")
+    with pytest.raises(ValueError, match="CMIKIT_THREADS"):
+        n_workers()
 
 
 def test_ksg_sweep_matches_single_k():
