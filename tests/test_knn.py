@@ -9,6 +9,7 @@ from cmikit.datagen import gen_gauss_corr, gen_linear
 from cmikit.knn import (
     KdTree,
     _ball_counts,
+    _tree_ball_counts,
     digamma,
     knn_permute_generator,
     knn_query,
@@ -154,7 +155,8 @@ def brute_chebyshev(points):
 @pytest.mark.parametrize("rounded", [False, True])
 @pytest.mark.parametrize("dz", [1, 4])
 @pytest.mark.parametrize("n", [2, 63, 64, 65, 129])
-def test_ball_counts_match_brute_force(monkeypatch, threads, rounded, dz, n):
+@pytest.mark.parametrize("ball_counts", [_ball_counts, _tree_ball_counts])
+def test_ball_counts_match_brute_force(monkeypatch, ball_counts, threads, rounded, dz, n):
     monkeypatch.setenv("CMIKIT_THREADS", threads)
     rng = rng_from(n, dz)
     x, y, z = rng.normal(size=(n, 2)), rng.normal(size=(n, 3)), rng.normal(size=(n, dz))
@@ -162,7 +164,7 @@ def test_ball_counts_match_brute_force(monkeypatch, threads, rounded, dz, n):
         x, y, z = (np.round(a, 1) for a in (x, y, z))
     ks = [k for k in (1, 3, 5) if k < n]
     radii = np.sort(brute_chebyshev(np.hstack([x, y, z])), axis=1)[:, ks]  # column 0 is self
-    got = _ball_counts(x, y, z, radii)
+    got = ball_counts(x, y, z, radii)
     d_z = brute_chebyshev(z)
     subspaces = (d_z, np.maximum(d_z, brute_chebyshev(x)), np.maximum(d_z, brute_chebyshev(y)))
     for j in range(len(ks)):
