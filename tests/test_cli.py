@@ -297,8 +297,9 @@ def test_sweep_reruns_are_byte_identical(workdir):
 
 
 def test_ksg_payloads_do_not_depend_on_cmikit_threads(workdir, monkeypatch):
+    # d_z = 4 makes the widest subspace 5 wide, so KSG counts in the threaded dense pass
     data = workdir / "threads.csv"
-    assert run_cli(["gen", "--model", "linear-I", "--dz", 3, "--n", 400,
+    assert run_cli(["gen", "--model", "linear-I", "--dz", 4, "--n", 400,
                     "--seed", 8, "--out", data]) == 0
     payloads = []
     for threads in ("1", "2"):
@@ -307,7 +308,7 @@ def test_ksg_payloads_do_not_depend_on_cmikit_threads(workdir, monkeypatch):
         assert run_cli(["estimate", "--in", data, "--method", "ksg", "--k", "3,5",
                         "--seed", 2, "--out", est]) == 0
         assert run_cli(["sweep", "--model", "linear-I", "--method", "ksg",
-                        "--n-grid", 300, "--dz-grid", 3, "--runs", 2,
+                        "--n-grid", 300, "--dz-grid", 4, "--runs", 2,
                         "--seed", 3, "--out", sweep]) == 0
         payloads.append((est.read_bytes(), sweep.read_bytes()))  # manifests carry duration_s
     assert payloads[0] == payloads[1]

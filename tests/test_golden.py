@@ -77,7 +77,7 @@ def test_golden_ksg():
 
 
 def test_golden_ksg_dz20():
-    # wide conditioning block, where the z-subspace counts dominate the sweep
+    # wide conditioning block: counted by the dense pass, where d_z=2 above uses the tree
     d, _ = gen_linear("I", d_z=20, n=301, seed=904)
     sweep = ksg_cmi_sweep(d, [3, 5, 10], seed=5)
     assert repr(sweep) == "{3: 0.9314051841486738, 5: 0.9071043027956199, 10: 0.8515671023545541}"
