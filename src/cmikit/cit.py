@@ -10,11 +10,11 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import SampleSet
 from .datagen import ModelSpec, generate
 from .estimators import EstimatorConfig, mi_diff_cmi
+from .knn import process_map
 from .nn import MlpClassifier, predict_proba
 from .seeding import derive_seed
 
@@ -73,6 +73,8 @@ def _scores_labels(scores, labels):
     l = np.asarray(labels).ravel().astype(bool)
     if s.size == 0 or s.size != l.size:
         raise ValueError("scores and labels must be nonempty and aligned")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
     if l.all() or not l.any():
         raise ValueError("need both labels present")
     return s, l
@@ -86,7 +88,8 @@ def auroc(scores, labels) -> float:
     s, l = _scores_labels(scores, labels)
     n_pos = int(l.sum())
     n_neg = l.size - n_pos
-    ranks = rankdata(s)
+    _, inv, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
     u = float(ranks[l].sum()) - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -105,6 +108,11 @@ def precision_recall_at_zero(scores, labels, threshold: float = 0.0):
     return precision, float(recall)
 
 
+def _score(job):
+    d, cfg = job
+    return mi_diff_cmi(d, cfg).value
+
+
 def run_cit_benchmark(
     specs, cfg: EstimatorConfig = EstimatorConfig(), seed: int = 0
 ) -> CitBenchmark:
@@ -112,7 +120,7 @@ def run_cit_benchmark(
 
     Datasets are fixed by their specs; only the estimator is reseeded, one
     derived seed per dataset, so the whole benchmark is a pure function of
-    (specs, cfg, seed).
+    (specs, cfg, seed).  The datasets are scored in parallel by process_map.
     """
     specs = tuple(specs)
     if len(specs) < 2:
@@ -126,10 +134,9 @@ def run_cit_benchmark(
         labels.append(bool(truth.value))
     if all(labels) or not any(labels):
         raise ValueError("need both labels present")
-    scores = []
-    for i, d in enumerate(datasets):
-        run_cfg = dataclasses.replace(cfg, seed=derive_seed(seed, 61, i))
-        scores.append(mi_diff_cmi(d, run_cfg).value)
+    jobs = [(d, dataclasses.replace(cfg, seed=derive_seed(seed, 61, i)))
+            for i, d in enumerate(datasets)]
+    scores = process_map(_score, jobs)
     return CitBenchmark(tuple(datasets), tuple(labels), tuple(scores), cfg, seed)
 
 

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from .estimators import (
     generator_classifier_cmi,
     mi_diff_cmi,
 )
-from .knn import ksg_cmi_sweep, ksg_mi, n_workers
+from .knn import ksg_cmi_sweep, ksg_mi, process_map
 from .nn import MlpArchitecture, TrainConfig, predict_proba, train_binary_classifier
 from .seeding import derive_seed, rng_from
 
@@ -128,15 +127,6 @@ def _int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _parallel_map(fn, items):
-    """Index-ordered map, threaded when CMIKIT_THREADS allows it."""
-    workers = min(n_workers(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # --- dataset plumbing --------------------------------------------------------
 
 def _model_spec_from_args(args, n, d_z, seed) -> ModelSpec:
@@ -192,6 +182,13 @@ def _estimate(d, method, cfg, ks):
         "per_bootstrap": est.per_bootstrap,
         "bootstrap_std": est.bootstrap_std,
     }
+
+
+def _score_cell(job):
+    """One sweep cell: generate its dataset, then (estimate, ground truth)."""
+    spec, cfg, method, ks = job
+    d, truth = generate(spec)
+    return _estimate(d, method, cfg, ks)["value"], truth.value
 
 
 # --- subcommands -------------------------------------------------------------
@@ -290,24 +287,15 @@ def cmd_sweep(args) -> int:
         raise ValueError("--runs must be positive")
     base_cfg = _load_estimator_config(args.config, None, f_mine=args.method == "f-mine-diff")
     ks = _int_list(args.k, "--k")
-    cells = [
-        (idx, n, dz, run)
-        for idx, (n, dz, run) in enumerate(
-            (n, dz, run) for n in n_grid for dz in dz_grid for run in range(args.runs)
-        )
+    cells = [(n, dz, run) for n in n_grid for dz in dz_grid for run in range(args.runs)]
+    jobs = [
+        (_model_spec_from_args(args, n, dz, derive_seed(seed, 71, idx)),
+         dataclasses.replace(base_cfg, seed=derive_seed(seed, 72, idx)), args.method, ks)
+        for idx, (n, dz, _) in enumerate(cells)
     ]
-
-    def score(cell):
-        idx, n, dz, run = cell
-        spec = _model_spec_from_args(args, n, dz, derive_seed(seed, 71, idx))
-        d, truth = generate(spec)
-        cfg = dataclasses.replace(base_cfg, seed=derive_seed(seed, 72, idx))
-        value = _estimate(d, args.method, cfg, ks)["value"]
-        return n, dz, run, value, truth.value
-
-    rows = _parallel_map(score, cells)
+    rows = process_map(_score_cell, jobs)
     lines = ["n,d_z,run,estimate,truth"]
-    for n, dz, run, value, truth in rows:
+    for (n, dz, run), (value, truth) in zip(cells, rows):
         lines.append(f"{n},{dz},{run},{value!r},{truth!r}")
     _atomic_write(args.out, "\n".join(lines) + "\n")
     config = {"estimator": dataclasses.asdict(base_cfg), "method": args.method, "k": ks,

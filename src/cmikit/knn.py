@@ -5,12 +5,14 @@ Chebyshev (max-norm) distances.  Small exact queries go through the kd-tree
 here; k-th neighbor radii and ``ksg_mi``'s ball counts come from scipy's
 cKDTree.  The conditional estimator counts its z, xz and yz balls with
 cKDTree too in few dimensions, and in blocked dense distance passes once the
-subspaces are wide enough to turn tree ball queries into scans.
+subspaces are wide enough to turn tree ball queries into scans.  The worker
+count and the process map that cit and the CLI share live here too.
 """
 
 import heapq
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +44,7 @@ EULER_GAMMA = 0.5772156649015328606
 
 
 def n_workers() -> int:
-    """Worker thread count: CMIKIT_THREADS if positive, else every core this process may use."""
+    """Worker count: CMIKIT_THREADS if positive, else every core this process may use."""
     raw = os.environ.get("CMIKIT_THREADS", "").strip()
     if raw:
         try:
@@ -54,6 +56,28 @@ def n_workers() -> int:
     if hasattr(os, "sched_getaffinity"):  # honours CPU affinity where the OS has it
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _one_thread():
+    os.environ["CMIKIT_THREADS"] = "1"
+
+
+def process_map(fn, items):
+    """Index-ordered map over up to n_workers() forked processes, each on one thread.
+
+    ``items`` is a sequence; ``fn`` must be a module-level function, and items
+    and results must pickle.
+    Forked workers inherit the imported modules instead of importing them
+    again; the package keeps no thread of its own alive between calls, so
+    none is lost across the fork.  With one worker, or where the OS has no
+    fork, the items run here in order.
+    """
+    workers = min(n_workers(), len(items))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_one_thread) as pool:
+        return list(pool.map(fn, items))
 
 
 # --- hand-built max-norm kd-tree -------------------------------------------

@@ -34,11 +34,6 @@ def model2_dz20():
 
 
 @pytest.fixture(scope="session")
-def model1_dz5():
-    return gen_linear("I", d_z=5, n=5000, sigma_eps=0.1, seed=104)
-
-
-@pytest.fixture(scope="session")
 def timings():
     """Wall-clock seconds of the expensive session fixtures, by name."""
     return {}

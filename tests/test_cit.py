@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
+from cmikit import cit
 from cmikit.cit import (
     CitBenchmark,
     auroc,
@@ -71,6 +73,28 @@ def test_auroc_rejects_single_class():
         auroc([], [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_auroc_rejects_nonfinite_scores(bad):
+    with pytest.raises(ValueError, match="finite"):
+        auroc([0.1, bad, 0.3], [0, 1, 1])
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "rounded"])
+def test_auroc_matches_rankdata_reference(kind):
+    rng = np.random.default_rng(["random", "tied", "rounded"].index(kind))
+    for _ in range(200):
+        n = int(rng.integers(2, 80))
+        scores = rng.normal(size=n)
+        if kind == "tied":
+            scores = rng.integers(0, 3, size=n) * 0.5
+        elif kind == "rounded":
+            scores = np.round(scores, 1)
+        labels = rng.permutation(np.arange(n) < rng.integers(1, n))
+        n_pos = int(labels.sum())
+        u = float(rankdata(scores)[labels].sum()) - n_pos * (n_pos + 1) / 2.0
+        assert auroc(scores, labels) == float(u / (n_pos * (n - n_pos)))
+
+
 # ------------------------------------------------------- precision_recall_at_zero
 
 
@@ -107,18 +131,24 @@ def test_benchmark_separates_dependent_from_ci(cit_benchmark20):
     assert all(np.isfinite(bench.scores))
 
 
-def test_benchmark_rejects_single_class():
+def _no_scoring(fn, items):
+    raise AssertionError("scoring started before the benchmark was validated")
+
+
+def test_benchmark_rejects_single_class(monkeypatch):
+    monkeypatch.setattr(cit, "process_map", _no_scoring)
     specs = [ModelSpec(kind="post-nonlinear", n=400, d_z=2, dependent=False, seed=s) for s in range(3)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="labels"):
         run_cit_benchmark(specs)
 
 
-def test_benchmark_rejects_unlabeled_kinds():
+def test_benchmark_rejects_unlabeled_kinds(monkeypatch):
+    monkeypatch.setattr(cit, "process_map", _no_scoring)
     specs = [
         ModelSpec(kind="gauss-corr", n=400, seed=0),
         ModelSpec(kind="post-nonlinear", n=400, d_z=2, dependent=True, seed=1),
     ]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="labeled"):
         run_cit_benchmark(specs)
 
 

@@ -265,6 +265,48 @@ def test_cit_single_class_config_fails(workdir, capsys):
     assert not (workdir / "m1.json").exists()
 
 
+def write_small_cit_config(path, estimator, n_specs=4):
+    specs = [{"kind": "post-nonlinear", "n": 300, "d_z": 2,
+              "dependent": i % 2 == 0, "seed": 900 + i} for i in range(n_specs)]
+    path.write_text(json.dumps({"specs": specs, "estimator": estimator}), encoding="utf-8")
+    return path
+
+
+def test_cit_and_ccmi_sweep_payloads_do_not_depend_on_cmikit_threads(workdir, monkeypatch):
+    estimator = {"divergence": {"train": {"epochs": 3}}}
+    config = write_small_cit_config(workdir / "threads_cit.json", estimator)
+    est_config = workdir / "threads_est.json"
+    est_config.write_text(json.dumps(estimator), encoding="utf-8")
+    payloads = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CMIKIT_THREADS", threads)
+        out, scores = workdir / f"tcit_{threads}.json", workdir / f"tcit_{threads}.csv"
+        sweep = workdir / f"tsw_ccmi_{threads}.csv"
+        assert run_cli(["cit", "--config", config, "--seed", 4,
+                        "--out", out, "--scores", scores]) == 0
+        assert run_cli(["sweep", "--model", "linear-I", "--method", "ccmi",
+                        "--n-grid", "200,300", "--dz-grid", 1, "--runs", 2,
+                        "--config", est_config, "--seed", 5, "--out", sweep]) == 0
+        payloads.append([p.read_bytes() for p in (out, scores, sweep)])
+    assert payloads[0] == payloads[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cit_worker_failure_matches_in_process_failure(workdir, monkeypatch, capsys):
+    estimator = {"divergence": {"train": {"epochs": 2, "learning_rate": 1e300}}}
+    config = write_small_cit_config(workdir / "diverges.json", estimator, n_specs=3)
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CMIKIT_THREADS", threads)
+        out = workdir / f"diverged_{threads}.json"
+        rc = run_cli(["cit", "--config", config, "--out", out])
+        results.append((rc, json.loads(capsys.readouterr().out)))
+        assert not out.exists()
+    assert results[0] == results[1]
+    assert results[0][0] == 1
+    assert results[0][1]["error"]["type"] == "TrainingDivergedError"
+
+
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_grid_cardinality_and_truth_column(workdir):

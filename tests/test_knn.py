@@ -16,6 +16,7 @@ from cmikit.knn import (
     ksg_cmi,
     ksg_mi,
     n_workers,
+    process_map,
 )
 from cmikit.seeding import rng_from
 
@@ -202,6 +203,25 @@ def test_n_workers_reads_cmikit_threads(monkeypatch):
         n_workers()
 
 
+def _worker_view(item):
+    return item, n_workers(), os.getpid()
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_process_map_keeps_order_and_runs_workers_on_one_thread(monkeypatch, threads):
+    monkeypatch.setenv("CMIKIT_THREADS", threads)
+    got = process_map(_worker_view, range(7))
+    assert [item for item, _, _ in got] == list(range(7))
+    assert all(w == 1 for _, w, _ in got)
+    pids = {pid for _, _, pid in got}
+    if threads == "1":
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids and len(pids) <= int(threads)
+    assert os.environ["CMIKIT_THREADS"] == threads  # only the workers were set to one thread
+    assert process_map(_worker_view, []) == []
+
+
 def test_ksg_sweep_matches_single_k():
     d, _ = gen_linear("I", 2, 1200, 0.1, seed=7)
     from cmikit.knn import ksg_cmi_sweep
@@ -243,7 +263,7 @@ def test_generator_keeps_x_and_z():
     out = knn_permute_generator(d, k=5, seed=3)
     np.testing.assert_array_equal(out.x, d.x)
     np.testing.assert_array_equal(out.z, d.z)
-    assert sorted(map(tuple, out.y)) != sorted(map(tuple, d.y)) or True  # y rows resampled with replacement
+    assert set(map(tuple, out.y)) <= set(map(tuple, d.y))  # y rows resampled with replacement
 
 
 def test_generator_respects_clusters():
@@ -265,9 +285,7 @@ def test_generator_deterministic():
     np.testing.assert_array_equal(a.y, b.y)
 
 
-def test_generator_indistinguishable_under_ci(model1_dz5):
-    # X and Y are coupled only through Z here? they are not: Model I has direct
-    # X->Y coupling; build a genuinely conditionally independent fixture instead.
+def test_generator_indistinguishable_under_ci():
     from cmikit.data import project
     from cmikit.nn import MlpArchitecture, TrainConfig, predict_proba, train_binary_classifier
 
