@@ -9,7 +9,15 @@ updates the pin in the same commit.
 import hashlib
 
 from cmikit.cit import run_cit_benchmark
+from cmikit.cli import main as cli_main
 from cmikit.datagen import ModelSpec, gen_linear
+from cmikit.divergence import (
+    DivergenceConfig,
+    classifier_dkl,
+    classifier_dkl_paired,
+    f_mine_defaults,
+    f_mine_dkl,
+)
 from cmikit.estimators import (
     EstimatorConfig,
     bias_corrected_cmi,
@@ -60,6 +68,36 @@ def test_golden_f_mine_critic_fit():
         "[2.5006896165049177, 2.4087740166789455, 2.3187606078654923, "
         "2.2312795420668374, 2.147921751163351]"
     )
+
+
+def test_golden_classifier_dkl():
+    pos, neg = _classes()
+    est = classifier_dkl(pos, neg, DivergenceConfig(seed=5))
+    assert repr(est.per_iteration) == "(1.904844502051728, 1.341058155306383)"
+    assert repr(est.mean_eval_accuracy) == "0.8107142857142857"
+
+
+def test_golden_f_mine_dkl():
+    pos, neg = _classes()
+    est = f_mine_dkl(pos, neg, f_mine_defaults(6))
+    assert repr(est.per_iteration) == "(-0.12865991056677037, -0.5903543332084613)"
+
+
+def test_golden_classifier_dkl_paired_odd_rows():
+    # 151 rows: the shared split gives the train side the odd row
+    rng = rng_from(905)
+    a = rng.normal(size=(151, 2))
+    b = a + 0.5 * rng.normal(size=(151, 2))
+    est = classifier_dkl_paired(a, b, DivergenceConfig(seed=7))
+    assert repr(est.per_iteration) == "(-0.1246476231142076, -0.014694316143704478)"
+    assert repr(est.mean_eval_accuracy) == "0.4833333333333334"
+
+
+def test_golden_calibrate_payload(tmp_path):
+    out = tmp_path / "calibrate.json"
+    assert cli_main(["calibrate", "--n", "600", "--d", "2", "--seed", "1", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "6a857a0a2f46d26db16041ca7bf12e422459100ac849d744b1340718448064e3"
 
 
 def test_golden_ccmi():
