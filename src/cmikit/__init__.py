@@ -40,7 +40,6 @@ from .datagen import (
     gen_post_nonlinear_cit,
     generate,
     nonlinear_ground_truth,
-    write_dataset,
 )
 from .divergence import (
     DivergenceConfig,
@@ -136,5 +135,4 @@ __all__ = [
     "train_binary_classifier",
     "with_train",
     "write_csv",
-    "write_dataset",
 ]

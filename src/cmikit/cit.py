@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SampleSet
-from .datagen import ModelSpec, generate
+from .datagen import generate
 from .estimators import EstimatorConfig, mi_diff_cmi
 from .knn import process_map
 from .nn import MlpClassifier, predict_proba

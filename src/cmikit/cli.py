@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .cit import benchmark_csv, reliability_curve, run_cit_benchmark
-from .data import derange_rows, load_csv, split_rows, write_csv
+from .data import load_csv, write_csv
 from .datagen import MODEL_KINDS, ModelSpec, dataset_metadata, generate
-from .divergence import DivergenceConfig, f_mine_defaults
+from .divergence import DivergenceConfig, derange_split, f_mine_defaults
 from .estimators import (
     EstimatorConfig,
     f_mine_diff_cmi,
@@ -32,7 +32,7 @@ from .estimators import (
 )
 from .knn import ksg_cmi_sweep, ksg_mi, process_map
 from .nn import MlpArchitecture, TrainConfig, predict_proba, train_binary_classifier
-from .seeding import derive_seed, rng_from
+from .seeding import derive_seed
 
 __all__ = ["main"]
 
@@ -312,10 +312,9 @@ def cmd_calibrate(args) -> int:
 
     d, truth = gen_gauss_corr(args.d, args.rho, args.n, derive_seed(seed, 81))
     joint = np.hstack([d.x, d.y])
-    tr, ev = split_rows(joint, derive_seed(seed, 82))
-    dx = d.dx
-    q_tr = np.hstack([tr[:, :dx], derange_rows(tr[:, dx:], rng_from(derive_seed(seed, 83)))])
-    q_ev = np.hstack([ev[:, :dx], derange_rows(ev[:, dx:], rng_from(derive_seed(seed, 84)))])
+    tr, q_tr, ev, q_ev = derange_split(
+        joint, d.dx, derive_seed(seed, 82), derive_seed(seed, 83), derive_seed(seed, 84)
+    )
     arch = MlpArchitecture(joint.shape[1], cfg.divergence.hidden_layer_sizes)
     tcfg = dataclasses.replace(cfg.divergence.train, seed=derive_seed(seed, 85))
     c = train_binary_classifier(tr, q_tr, arch, tcfg)

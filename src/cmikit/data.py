@@ -146,25 +146,26 @@ def write_csv(d: SampleSet, path) -> None:
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def split_rows(m: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Randomly permute rows of a matrix and split 50/50 (first half gets the
-    extra row when the count is odd)."""
-    n = m.shape[0]
+def _halves(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded permutation of n row indices cut 50/50, the odd one in the first half."""
     if n < 2:
         raise ValueError("need at least 2 rows to split")
     perm = rng_from(seed).permutation(n)
     cut = (n + 1) // 2
-    return m[perm[:cut]], m[perm[cut:]]
+    return perm[:cut], perm[cut:]
+
+
+def split_rows(m: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Randomly permute rows of a matrix and split 50/50 (first half gets the
+    extra row when the count is odd)."""
+    first, second = _halves(m.shape[0], seed)
+    return m[first], m[second]
 
 
 def split_half(d: SampleSet, seed: int) -> SplitPair:
     """Random 50/50 split of a SampleSet; the train side gets the odd row."""
-    n = d.n
-    if n < 2:
-        raise ValueError("need at least 2 samples to split")
-    perm = rng_from(seed).permutation(n)
-    cut = (n + 1) // 2
-    return SplitPair(train=d.take(perm[:cut]), eval=d.take(perm[cut:]))
+    first, second = _halves(d.n, seed)
+    return SplitPair(train=d.take(first), eval=d.take(second))
 
 
 def _derangement(n: int, rng: np.random.Generator) -> np.ndarray:

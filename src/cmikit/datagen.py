@@ -8,13 +8,11 @@ closed form exists, a high-sample neighbor estimate on the nonlinear model's
 sufficient statistic otherwise).
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import SampleSet, write_csv
+from .data import SampleSet
 from .knn import ksg_cmi
 from .seeding import derive_seed, rng_from
 
@@ -29,7 +27,6 @@ __all__ = [
     "gen_post_nonlinear_cit",
     "generate",
     "dataset_metadata",
-    "write_dataset",
     "MODEL_KINDS",
 ]
 
@@ -242,11 +239,3 @@ def dataset_metadata(spec: ModelSpec, d: SampleSet, truth: GroundTruth) -> dict:
         "ground_truth_method": truth.method,
     }
 
-
-def write_dataset(spec: ModelSpec, path, d: SampleSet, truth: GroundTruth) -> Path:
-    """Write samples as CSV plus a JSON sidecar with the model spec and ground truth."""
-    path = Path(path)
-    write_csv(d, path)
-    side = path.with_suffix(".json")
-    side.write_text(json.dumps(dataset_metadata(spec, d, truth), sort_keys=True, indent=2) + "\n")
-    return side

@@ -10,10 +10,11 @@ over independently re-split inner iterations.
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .data import split_rows
+from .data import derange_rows, split_rows
 from .nn import (
     F_CRITIC_TRAIN_DEFAULTS,
     MlpArchitecture,
@@ -23,7 +24,7 @@ from .nn import (
     train_binary_classifier,
     train_f_mine_critic,
 )
-from .seeding import derive_seed
+from .seeding import derive_seed, rng_from
 
 __all__ = [
     "DivergenceConfig",
@@ -117,6 +118,62 @@ def _check_pair(dp, dq):
     return dp, dq
 
 
+def _held_out_divergence(split, cfg: DivergenceConfig, namespace: int, route: str) -> DivergenceEstimate:
+    """Mean over ``cfg.inner_iterations`` of a divergence scored on held-out rows.
+
+    ``split(it_seed)`` returns the (p_tr, q_tr, p_ev, q_ev) rows of one inner
+    iteration.  A standardizer fit on the training rows maps all four, a
+    fresh model trains on the training rows, and the held-out rows score it:
+    the clipped plug-in and accuracy for ``route == "classifier"``, the
+    exponential-moment objective and nan accuracy for ``"critic"``.
+    """
+    values, accs = [], []
+    for t in range(cfg.inner_iterations):
+        it_seed = derive_seed(cfg.seed, namespace, t)
+        p_tr, q_tr, p_ev, q_ev = split(it_seed)
+        norm = fit_standardizer(np.vstack([p_tr, q_tr]))
+        p_tr, q_tr, p_ev, q_ev = norm(p_tr), norm(q_tr), norm(p_ev), norm(q_ev)
+        tcfg = dataclasses.replace(cfg.train, seed=derive_seed(it_seed, 3))
+        if route == "critic":
+            critic = train_f_mine_critic(p_tr, q_tr, tcfg, hidden_layer_sizes=cfg.hidden_layer_sizes)
+            values.append(f_critic_objective(critic, p_ev, q_ev))
+            continue
+        arch = MlpArchitecture(p_tr.shape[1], cfg.hidden_layer_sizes)
+        c = train_binary_classifier(p_tr, q_tr, arch, tcfg)
+        gp = np.clip(predict_proba(c, p_ev), cfg.clip, 1.0 - cfg.clip)
+        gq = np.clip(predict_proba(c, q_ev), cfg.clip, 1.0 - cfg.clip)
+        values.append(dv_plugin(gp, gq, cfg.clip))
+        accs.append(float(np.sum(gp > 0.5) + np.sum(gq <= 0.5)) / (gp.size + gq.size))
+    acc = float(np.mean(accs)) if accs else float("nan")
+    return DivergenceEstimate(float(np.mean(values)), tuple(values), acc)
+
+
+def _split_each(dp, dq, it_seed):
+    """Independent 50/50 splits of the two sides."""
+    p_tr, p_ev = split_rows(dp, derive_seed(it_seed, 1))
+    q_tr, q_ev = split_rows(dq, derive_seed(it_seed, 2))
+    return p_tr, q_tr, p_ev, q_ev
+
+
+def _split_paired(stacked, d, it_seed):
+    """One 50/50 split of the side-by-side rows, shared by both sides."""
+    tr, ev = split_rows(stacked, derive_seed(it_seed, 1))
+    return tr[:, :d], tr[:, d:], ev[:, :d], ev[:, d:]
+
+
+def derange_split(joint, dx, split_seed, train_seed, eval_seed):
+    """Split ``joint`` rows 50/50, then stand in for the product of marginals.
+
+    Within each half, the columns after the first ``dx`` are re-paired with
+    the first ``dx`` by a fixed-point-free permutation.  Returns
+    (p_tr, q_tr, p_ev, q_ev): each half as observed and as re-paired.
+    """
+    p_tr, p_ev = split_rows(joint, split_seed)
+    q_tr = np.hstack([p_tr[:, :dx], derange_rows(p_tr[:, dx:], rng_from(train_seed))])
+    q_ev = np.hstack([p_ev[:, :dx], derange_rows(p_ev[:, dx:], rng_from(eval_seed))])
+    return p_tr, q_tr, p_ev, q_ev
+
+
 def classifier_dkl(dp, dq, cfg: DivergenceConfig = DivergenceConfig()) -> DivergenceEstimate:
     """KL divergence of the dp distribution from the dq distribution.
 
@@ -125,21 +182,7 @@ def classifier_dkl(dp, dq, cfg: DivergenceConfig = DivergenceConfig()) -> Diverg
     the plug-in on the held-out halves with clipped probabilities.
     """
     dp, dq = _check_pair(dp, dq)
-    arch = MlpArchitecture(dp.shape[1], cfg.hidden_layer_sizes)
-    values, accs = [], []
-    for t in range(cfg.inner_iterations):
-        it_seed = derive_seed(cfg.seed, 21, t)
-        p_tr, p_ev = split_rows(dp, derive_seed(it_seed, 1))
-        q_tr, q_ev = split_rows(dq, derive_seed(it_seed, 2))
-        norm = fit_standardizer(np.vstack([p_tr, q_tr]))
-        tcfg = dataclasses.replace(cfg.train, seed=derive_seed(it_seed, 3))
-        c = train_binary_classifier(norm(p_tr), norm(q_tr), arch, tcfg)
-        gp = np.clip(predict_proba(c, norm(p_ev)), cfg.clip, 1.0 - cfg.clip)
-        gq = np.clip(predict_proba(c, norm(q_ev)), cfg.clip, 1.0 - cfg.clip)
-        values.append(dv_plugin(gp, gq, cfg.clip))
-        hits = float(np.sum(gp > 0.5) + np.sum(gq <= 0.5))
-        accs.append(hits / (gp.size + gq.size))
-    return DivergenceEstimate(float(np.mean(values)), tuple(values), float(np.mean(accs)))
+    return _held_out_divergence(partial(_split_each, dp, dq), cfg, 21, "classifier")
 
 
 def classifier_dkl_paired(dp, dq, cfg: DivergenceConfig = DivergenceConfig()) -> DivergenceEstimate:
@@ -155,22 +198,8 @@ def classifier_dkl_paired(dp, dq, cfg: DivergenceConfig = DivergenceConfig()) ->
     dp, dq = _check_pair(dp, dq)
     if dp.shape[0] != dq.shape[0]:
         raise ValueError("paired splitting needs equal row counts")
-    d = dp.shape[1]
-    arch = MlpArchitecture(d, cfg.hidden_layer_sizes)
     stacked = np.hstack([dp, dq])
-    values, accs = [], []
-    for t in range(cfg.inner_iterations):
-        it_seed = derive_seed(cfg.seed, 23, t)
-        tr, ev = split_rows(stacked, derive_seed(it_seed, 1))
-        norm = fit_standardizer(np.vstack([tr[:, :d], tr[:, d:]]))
-        tcfg = dataclasses.replace(cfg.train, seed=derive_seed(it_seed, 3))
-        c = train_binary_classifier(norm(tr[:, :d]), norm(tr[:, d:]), arch, tcfg)
-        gp = np.clip(predict_proba(c, norm(ev[:, :d])), cfg.clip, 1.0 - cfg.clip)
-        gq = np.clip(predict_proba(c, norm(ev[:, d:])), cfg.clip, 1.0 - cfg.clip)
-        values.append(dv_plugin(gp, gq, cfg.clip))
-        hits = float(np.sum(gp > 0.5) + np.sum(gq <= 0.5))
-        accs.append(hits / (gp.size + gq.size))
-    return DivergenceEstimate(float(np.mean(values)), tuple(values), float(np.mean(accs)))
+    return _held_out_divergence(partial(_split_paired, stacked, dp.shape[1]), cfg, 23, "classifier")
 
 
 def f_mine_defaults(seed: int = 0) -> DivergenceConfig:
@@ -194,13 +223,4 @@ def f_mine_dkl(dp, dq, cfg: DivergenceConfig | None = None) -> DivergenceEstimat
     if cfg is None:
         cfg = f_mine_defaults()
     dp, dq = _check_pair(dp, dq)
-    values = []
-    for t in range(cfg.inner_iterations):
-        it_seed = derive_seed(cfg.seed, 22, t)
-        p_tr, p_ev = split_rows(dp, derive_seed(it_seed, 1))
-        q_tr, q_ev = split_rows(dq, derive_seed(it_seed, 2))
-        norm = fit_standardizer(np.vstack([p_tr, q_tr]))
-        tcfg = dataclasses.replace(cfg.train, seed=derive_seed(it_seed, 3))
-        critic = train_f_mine_critic(norm(p_tr), norm(q_tr), tcfg, hidden_layer_sizes=cfg.hidden_layer_sizes)
-        values.append(f_critic_objective(critic, norm(p_ev), norm(q_ev)))
-    return DivergenceEstimate(float(np.mean(values)), tuple(values), float("nan"))
+    return _held_out_divergence(partial(_split_each, dp, dq), cfg, 22, "critic")

@@ -12,25 +12,18 @@ from typing import Callable
 
 import numpy as np
 
-from .data import SampleSet, derange_rows, project, split_half, split_rows
+from .data import SampleSet, project, split_half
 from .divergence import (
     DivergenceConfig,
     DivergenceEstimate,
+    _held_out_divergence,
     classifier_dkl_paired,
-    dv_plugin,
+    derange_split,
     f_mine_defaults,
-    fit_standardizer,
 )
 from .knn import knn_permute_apply
-from .nn import (
-    MlpArchitecture,
-    TrainingDivergedError,
-    f_critic_objective,
-    predict_proba,
-    train_binary_classifier,
-    train_f_mine_critic,
-)
-from .seeding import derive_seed, rng_from
+from .nn import TrainingDivergedError
+from .seeding import derive_seed
 
 __all__ = [
     "EstimatorConfig",
@@ -91,15 +84,6 @@ class CmiEstimate:
         return float(np.std(self.per_bootstrap, ddof=1))
 
 
-def _as_block(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2 or a.shape[0] == 0:
-        raise ValueError(f"{name} must be a nonempty row matrix")
-    return a
-
-
 def _finish(value: float, cfg: EstimatorConfig, components=None, per_bootstrap=()) -> CmiEstimate:
     if cfg.truncate_negative and value < 0.0:
         value = 0.0
@@ -116,36 +100,11 @@ def _product_dkl(x: np.ndarray, other: np.ndarray, dcfg: DivergenceConfig, route
     memorization bias.
     """
     joint = np.hstack([x, other])
-    dx = x.shape[1]
-    namespace = 21 if route == "classifier" else 22
-    values, accs = [], []
-    for t in range(dcfg.inner_iterations):
-        it_seed = derive_seed(dcfg.seed, namespace, t)
-        p_tr, p_ev = split_rows(joint, derive_seed(it_seed, 1))
-        q_tr = np.hstack(
-            [p_tr[:, :dx], derange_rows(p_tr[:, dx:], rng_from(derive_seed(it_seed, 2)))]
-        )
-        q_ev = np.hstack(
-            [p_ev[:, :dx], derange_rows(p_ev[:, dx:], rng_from(derive_seed(it_seed, 4)))]
-        )
-        norm = fit_standardizer(np.vstack([p_tr, q_tr]))
-        p_tr, q_tr = norm(p_tr), norm(q_tr)
-        p_ev, q_ev = norm(p_ev), norm(q_ev)
-        tcfg = dataclasses.replace(dcfg.train, seed=derive_seed(it_seed, 3))
-        if route == "classifier":
-            arch = MlpArchitecture(joint.shape[1], dcfg.hidden_layer_sizes)
-            c = train_binary_classifier(p_tr, q_tr, arch, tcfg)
-            gp = np.clip(predict_proba(c, p_ev), dcfg.clip, 1.0 - dcfg.clip)
-            gq = np.clip(predict_proba(c, q_ev), dcfg.clip, 1.0 - dcfg.clip)
-            values.append(dv_plugin(gp, gq, dcfg.clip))
-            hits = float(np.sum(gp > 0.5) + np.sum(gq <= 0.5))
-            accs.append(hits / (gp.size + gq.size))
-        else:
-            critic = train_f_mine_critic(p_tr, q_tr, tcfg, hidden_layer_sizes=dcfg.hidden_layer_sizes)
-            values.append(f_critic_objective(critic, p_ev, q_ev))
-            accs.append(float("nan"))
-    mean_acc = float(np.mean(accs)) if route == "classifier" else float("nan")
-    return DivergenceEstimate(float(np.mean(values)), tuple(values), mean_acc)
+
+    def split(s):
+        return derange_split(joint, x.shape[1], derive_seed(s, 1), derive_seed(s, 2), derive_seed(s, 4))
+
+    return _held_out_divergence(split, dcfg, 21 if route == "classifier" else 22, route)
 
 
 def _mi_once(route: str, x: np.ndarray, y: np.ndarray, cfg: EstimatorConfig, b_seed: int) -> float:
@@ -154,14 +113,11 @@ def _mi_once(route: str, x: np.ndarray, y: np.ndarray, cfg: EstimatorConfig, b_s
 
 
 def _mi_via(route: str, x, y, cfg: EstimatorConfig) -> CmiEstimate:
-    x = _as_block(x, "x")
-    y = _as_block(y, "y")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("x and y must have equal row counts")
-    if x.shape[0] < 4:
+    d = SampleSet(x, y, ())  # checks shapes, row counts and finiteness
+    if d.n < 4:
         raise ValueError("need at least 4 samples")
     b = cfg.bootstrap or 1
-    vals = [_mi_once(route, x, y, cfg, derive_seed(cfg.seed, 31, i)) for i in range(b)]
+    vals = [_mi_once(route, d.x, d.y, cfg, derive_seed(cfg.seed, 31, i)) for i in range(b)]
     return _finish(float(np.mean(vals)), cfg, per_bootstrap=vals)
 
 
@@ -238,6 +194,32 @@ def _generated_half(d: SampleSet, cfg: EstimatorConfig, b_seed: int, generator_f
     return d_class, y_marg
 
 
+def _generator_rounds(d: SampleSet, cfg: EstimatorConfig, generator_fn, corrected: bool):
+    """Per-round (main, correction) divergences of the generator route.
+
+    Each round splits the data, resamples y for one half from the other
+    (``_generated_half``), and scores the real half against the resampled
+    one; with ``corrected`` it also scores the resampled (y, z) rows against
+    the real ones.  The correction list is empty otherwise.
+    """
+    if d.dz < 1:
+        raise ValueError("generator path needs a conditioning block")
+    if d.n < 8:
+        raise ValueError("need at least 8 samples")
+    mains, corrections = [], []
+    for i in range(cfg.bootstrap or 10):
+        b_seed = derive_seed(cfg.seed, 51, i)
+        d_class, y_marg = _generated_half(d, cfg, b_seed, generator_fn)
+        marg = np.hstack([d_class.x, y_marg, d_class.z])
+        main_cfg = dataclasses.replace(cfg.divergence, seed=derive_seed(b_seed, 3))
+        mains.append(classifier_dkl_paired(project(d_class, "xyz"), marg, main_cfg).value)
+        if corrected:
+            yz_marg = np.hstack([y_marg, d_class.z])
+            corr_cfg = dataclasses.replace(cfg.divergence, seed=derive_seed(b_seed, 4))
+            corrections.append(classifier_dkl_paired(project(d_class, "yz"), yz_marg, corr_cfg).value)
+    return mains, corrections
+
+
 def generator_classifier_cmi(
     d: SampleSet,
     cfg: EstimatorConfig = EstimatorConfig(),
@@ -251,19 +233,7 @@ def generator_classifier_cmi(
     resampled halves; the estimate is the round mean.  ``generator_fn``
     swaps in a custom conditional resampler (see ``_generated_half``).
     """
-    if d.dz < 1:
-        raise ValueError("generator path needs a conditioning block")
-    if d.n < 8:
-        raise ValueError("need at least 8 samples")
-    b = cfg.bootstrap or 10
-    vals = []
-    for i in range(b):
-        b_seed = derive_seed(cfg.seed, 51, i)
-        d_class, y_marg = _generated_half(d, cfg, b_seed, generator_fn)
-        joint = project(d_class, "xyz")
-        marg = np.hstack([d_class.x, y_marg, d_class.z])
-        div_cfg = dataclasses.replace(cfg.divergence, seed=derive_seed(b_seed, 3))
-        vals.append(classifier_dkl_paired(joint, marg, div_cfg).value)
+    vals, _ = _generator_rounds(d, cfg, generator_fn, corrected=False)
     return _finish(float(np.mean(vals)), cfg, per_bootstrap=vals)
 
 
@@ -281,24 +251,8 @@ def bias_corrected_cmi(
     divergence means.  ``generator_fn`` swaps in a custom conditional
     resampler (see ``_generated_half``).
     """
-    if d.dz < 1:
-        raise ValueError("generator path needs a conditioning block")
-    if d.n < 8:
-        raise ValueError("need at least 8 samples")
-    b = cfg.bootstrap or 10
-    vals, mains, corrections = [], [], []
-    for i in range(b):
-        b_seed = derive_seed(cfg.seed, 51, i)
-        d_class, y_marg = _generated_half(d, cfg, b_seed, generator_fn)
-        joint = project(d_class, "xyz")
-        marg = np.hstack([d_class.x, y_marg, d_class.z])
-        div_main = classifier_dkl_paired(joint, marg, dataclasses.replace(cfg.divergence, seed=derive_seed(b_seed, 3)))
-        yz = project(d_class, "yz")
-        yz_marg = np.hstack([y_marg, d_class.z])
-        div_corr = classifier_dkl_paired(yz, yz_marg, dataclasses.replace(cfg.divergence, seed=derive_seed(b_seed, 4)))
-        mains.append(div_main.value)
-        corrections.append(div_corr.value)
-        vals.append(div_main.value - div_corr.value)
+    mains, corrections = _generator_rounds(d, cfg, generator_fn, corrected=True)
+    vals = [m - c for m, c in zip(mains, corrections)]
     return _finish(
         float(np.mean(vals)), cfg,
         components=(float(np.mean(mains)), float(np.mean(corrections))),

@@ -1,19 +1,17 @@
-"""Nearest-neighbor machinery: max-norm kd-tree, KSG estimators, kNN permutation.
+"""Nearest-neighbor machinery: KSG estimators and the kNN conditional resampler.
 
 The KSG conditional estimator and the conditional resampler both work on
-Chebyshev (max-norm) distances.  Small exact queries go through the kd-tree
-here; k-th neighbor radii and ``ksg_mi``'s ball counts come from scipy's
-cKDTree.  The conditional estimator counts its z, xz and yz balls with
-cKDTree too in few dimensions, and in blocked dense distance passes once the
-subspaces are wide enough to turn tree ball queries into scans.  The worker
+Chebyshev (max-norm) distances.  Neighbor queries, k-th neighbor radii and
+``ksg_mi``'s ball counts come from scipy's cKDTree.  The conditional
+estimator counts its z, xz and yz balls with cKDTree too in few dimensions,
+and in blocked dense distance passes once the subspaces are wide enough to
+turn tree ball queries into scans.  The worker
 count and the process map that cit and the CLI share live here too.
 """
 
-import heapq
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,17 +20,13 @@ from .data import SampleSet
 from .seeding import rng_from
 
 __all__ = [
-    "KdTree",
-    "knn_query",
     "digamma",
     "ksg_cmi",
     "ksg_cmi_sweep",
     "ksg_mi",
-    "knn_permute_generator",
     "knn_permute_apply",
 ]
 
-_LEAF_SIZE = 16
 _BLOCK_ROWS = 64  # query rows per distance block: three (64, n) float buffers per thread
 # Widest KSG subspace, d_z + max(d_x, d_y), up to which cKDTree ball counts beat
 # the dense pass (measured on 2 cores: 35x faster at width 2 and n=50000, even
@@ -78,88 +72,6 @@ def process_map(fn, items):
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_one_thread) as pool:
         return list(pool.map(fn, items))
-
-
-# --- hand-built max-norm kd-tree -------------------------------------------
-
-@dataclass
-class _Node:
-    axis: int = -1
-    split: float = 0.0
-    left: "object" = None
-    right: "object" = None
-    indices: np.ndarray = None  # leaf payload
-
-
-@dataclass
-class KdTree:
-    """Static kd-tree over row points under the l-infinity metric."""
-
-    points: np.ndarray
-    _root: _Node = field(init=False, repr=False)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
-            raise ValueError("points must be a nonempty 2-D matrix")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_root", self._build(np.arange(pts.shape[0])))
-
-    def _build(self, idx: np.ndarray) -> _Node:
-        if idx.size <= _LEAF_SIZE:
-            return _Node(indices=idx)
-        sub = self.points[idx]
-        spread = sub.max(axis=0) - sub.min(axis=0)
-        axis = int(np.argmax(spread))
-        if spread[axis] == 0.0:  # all points identical: no split possible
-            return _Node(indices=idx)
-        order = np.argsort(sub[:, axis], kind="stable")
-        mid = idx.size // 2
-        split = float(sub[order[mid], axis])
-        left, right = idx[order[:mid]], idx[order[mid:]]
-        return _Node(axis=axis, split=split, left=self._build(left), right=self._build(right))
-
-
-def knn_query(t: KdTree, q, k: int):
-    """k nearest stored points to ``q`` in max-norm; ties broken by lower index.
-
-    Returns (indices, distances), both length k, sorted by ascending distance
-    then index.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != t.points.shape[1]:
-        raise ValueError("query point dimensionality mismatch")
-    m = t.points.shape[0]
-    if not 1 <= k <= m:
-        raise ValueError(f"k must be in [1, {m}], got {k}")
-
-    # max-heap of the current best k as (-distance, -index)
-    heap: list[tuple[float, int]] = []
-
-    def visit(node: _Node):
-        if node.indices is not None:
-            d = np.max(np.abs(t.points[node.indices] - q), axis=1)
-            for di, ii in zip(d, node.indices):
-                cand = (-float(di), -int(ii))
-                if len(heap) < k:
-                    heapq.heappush(heap, cand)
-                elif cand > heap[0]:
-                    heapq.heapreplace(heap, cand)
-            return
-        gap = q[node.axis] - node.split
-        near, far = (node.right, node.left) if gap >= 0 else (node.left, node.right)
-        visit(near)
-        # far side cannot beat the current worst unless its slab distance allows it
-        if len(heap) < k or abs(gap) <= -heap[0][0]:
-            visit(far)
-
-    visit(t._root)
-    out = sorted((-d, -i) for d, i in heap)
-    idx = np.array([i for _, i in out], dtype=np.intp)
-    dist = np.array([d for d, _ in out])
-    return idx, dist
 
 
 # --- digamma ----------------------------------------------------------------
@@ -312,7 +224,7 @@ def ksg_mi(d: SampleSet, k: int = 3, seed: int = 0) -> float:
     return float(digamma(k) + digamma(d.n) - np.mean(digamma(n_x + 1) + digamma(n_y + 1)))
 
 
-# --- kNN conditional permutation generator ----------------------------------
+# --- kNN conditional resampler ----------------------------------------------
 
 def knn_permute_apply(pool_y: np.ndarray, pool_z: np.ndarray, z_query: np.ndarray, k: int = 5, seed: int = 0) -> np.ndarray:
     """Draw a y row for each query z from a disjoint (y, z) pool.
@@ -339,26 +251,3 @@ def knn_permute_apply(pool_y: np.ndarray, pool_z: np.ndarray, z_query: np.ndarra
     choice = rng.integers(k, size=z_query.shape[0])
     return pool_y[idx[np.arange(z_query.shape[0]), choice]]
 
-
-def knn_permute_generator(d: SampleSet, k: int = 5, seed: int = 0) -> SampleSet:
-    """Resample y against nearby z: emit (x_i, y_j, z_i) with z_j close to z_i.
-
-    For each row, one of the k nearest z-neighbors (excluding the row itself)
-    is chosen uniformly; x and z come through untouched.  Approximates a draw
-    from p(x,z) p(y|z).
-    """
-    if d.n < 2:
-        raise ValueError("need at least two rows")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if d.dz < 1:
-        raise ValueError("generator needs a conditioning block")
-    k = min(k, d.n - 1)
-    rng = rng_from(seed, 11)
-    z = _jitter(d.z, rng_from(seed, 12))
-    _, idx = cKDTree(z).query(z, k=k + 1, p=np.inf, workers=n_workers())
-    pick = np.empty(d.n, dtype=np.intp)
-    for i in range(d.n):
-        neighbors = idx[i][idx[i] != i][:k]
-        pick[i] = neighbors[rng.integers(neighbors.size)]
-    return SampleSet(d.x, d.y[pick], d.z)

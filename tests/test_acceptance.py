@@ -12,12 +12,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from cmikit.cli import main as cli_main
 from cmikit.data import SampleSet, derange_rows, product_shuffle
 from cmikit.datagen import gen_gauss_corr
 from cmikit.divergence import dv_plugin
-from cmikit.knn import KdTree, digamma, knn_query
+from cmikit.knn import digamma
 from cmikit.nn import MlpArchitecture, loss_and_gradients, mlp_init
 from cmikit.seeding import rng_from
 from util import biasfree_logistic_dkl
@@ -126,11 +127,12 @@ def _gradient_gate():
 
 
 def _tree_gate():
+    # the max-norm cKDTree query the estimators make, against brute force
     rng = rng_from(31)
     pts = rng.normal(size=(300, 3))
-    tree = KdTree(pts)
+    tree = cKDTree(pts)
     for q in rng.normal(size=(20, 3)):
-        idx, dist = knn_query(tree, q, 7)
+        dist, idx = tree.query(q, k=7, p=np.inf)
         brute = np.max(np.abs(pts - q), axis=1)
         order = np.lexsort((np.arange(len(pts)), brute))[:7]
         if not (np.array_equal(idx, order) and np.array_equal(dist, brute[order])):

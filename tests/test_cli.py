@@ -17,6 +17,8 @@ import sys
 import pytest
 
 from cmikit.cli import main
+from cmikit.data import load_csv
+from cmikit.datagen import ModelSpec, generate
 
 LINEAR_I_TRUTH = 0.5 * math.log(1.0 + 1.0 / 0.1**2)
 
@@ -120,6 +122,20 @@ def test_gen_reruns_are_byte_identical(workdir, small_file):
     assert again.read_bytes() == small_file.read_bytes()
     assert again.with_suffix(".json").read_bytes() == \
         small_file.with_suffix(".json").read_bytes()
+
+
+def test_gen_csv_loads_back_bit_for_bit(workdir):
+    out = workdir / "roundtrip.csv"
+    assert run_cli(["gen", "--model", "linear-i", "--dz", 2, "--n", 50,
+                    "--seed", 9, "--out", out]) == 0
+    d, truth = generate(ModelSpec("linear-i", 50, d_z=2, seed=9))
+    back = load_csv(out, 1, 1, 2)
+    for got, want in ((back.x, d.x), (back.y, d.y), (back.z, d.z)):
+        assert got.tobytes() == want.tobytes()
+    meta = read_json(out.with_suffix(".json"))
+    assert meta["kind"] == "linear-i"
+    assert meta["ground_truth"] == truth.value
+    assert meta["d_z"] == 2
 
 
 def test_gen_manifest_digests_match_files(small_file):

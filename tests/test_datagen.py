@@ -1,9 +1,7 @@
-import json
 
 import numpy as np
 import pytest
 
-from cmikit.data import load_csv
 from cmikit.datagen import (
     GroundTruth,
     ModelSpec,
@@ -13,7 +11,6 @@ from cmikit.datagen import (
     gen_post_nonlinear_cit,
     generate,
     nonlinear_ground_truth,
-    write_dataset,
 )
 
 
@@ -155,14 +152,3 @@ def test_generate_dispatch():
     d3, t3 = generate(ModelSpec("post-nonlinear", 100, d_z=2, dependent=False, seed=3))
     assert t3.method == "label" and t3.value == 0.0
 
-
-def test_write_dataset_round_trip(tmp_path):
-    spec = ModelSpec("linear-i", 50, d_z=2, seed=9)
-    d, t = generate(spec)
-    side = write_dataset(spec, tmp_path / "m1.csv", d, t)
-    back = load_csv(tmp_path / "m1.csv", 1, 1, 2)
-    np.testing.assert_array_equal(back.y, d.y)
-    meta = json.loads(side.read_text())
-    assert meta["kind"] == "linear-i"
-    assert meta["ground_truth"] == pytest.approx(t.value)
-    assert meta["d_z"] == 2

@@ -315,6 +315,15 @@ def test_input_validation():
         EstimatorConfig(generator_k=0)
 
 
+@pytest.mark.parametrize("block, bad", [("x", np.nan), ("y", np.inf)])
+def test_nonfinite_input_is_rejected_before_training(block, bad):
+    rng = np.random.default_rng(0)
+    xy = {"x": rng.normal(size=(50, 1)), "y": rng.normal(size=(50, 2))}
+    xy[block][3, 0] = bad
+    with pytest.raises(ValueError, match=f"non-finite entries in {block} block"):
+        classifier_mi(xy["x"], xy["y"])
+
+
 # ------------------------------------------------------- thread-count independence
 
 

@@ -7,83 +7,16 @@ import pytest
 from cmikit.data import SampleSet
 from cmikit.datagen import gen_gauss_corr, gen_linear
 from cmikit.knn import (
-    KdTree,
     _ball_counts,
     _tree_ball_counts,
     digamma,
-    knn_permute_generator,
-    knn_query,
+    knn_permute_apply,
     ksg_cmi,
     ksg_mi,
     n_workers,
     process_map,
 )
 from cmikit.seeding import rng_from
-
-
-def brute_knn(points, q, k):
-    d = np.max(np.abs(points - q), axis=1)
-    order = np.lexsort((np.arange(len(points)), d))[:k]
-    return order, d[order]
-
-
-def test_query_line_points():
-    t = KdTree(np.array([[0.0], [1.0], [2.0]]))
-    idx, dist = knn_query(t, [0.6], 1)
-    assert idx[0] == 1
-    assert dist[0] == pytest.approx(0.4)
-
-
-def test_query_exact_hit():
-    pts = rng_from(3).normal(size=(30, 2))
-    t = KdTree(pts)
-    idx, dist = knn_query(t, pts[17], 1)
-    assert idx[0] == 17
-    assert dist[0] == 0.0
-
-
-def test_query_matches_brute_force():
-    for seed in range(5):
-        rng = rng_from(seed)
-        pts = rng.normal(size=(200, 4))
-        t = KdTree(pts)
-        for q in rng.normal(size=(10, 4)):
-            idx, dist = knn_query(t, q, 5)
-            bidx, bdist = brute_knn(pts, q, 5)
-            np.testing.assert_array_equal(idx, bidx)
-            np.testing.assert_allclose(dist, bdist)
-
-
-def test_query_tie_break_by_index():
-    # integer grid forces exact distance ties
-    rng = rng_from(7)
-    pts = rng.integers(0, 4, size=(120, 3)).astype(float)
-    t = KdTree(pts)
-    for q in rng.integers(0, 4, size=(8, 3)).astype(float):
-        for k in (1, 3, 7):
-            idx, dist = knn_query(t, q, k)
-            bidx, bdist = brute_knn(pts, q, k)
-            np.testing.assert_array_equal(idx, bidx)
-            np.testing.assert_array_equal(dist, bdist)
-
-
-def test_query_k_bounds():
-    t = KdTree(np.zeros((5, 2)))
-    with pytest.raises(ValueError):
-        knn_query(t, np.zeros(2), 0)
-    with pytest.raises(ValueError):
-        knn_query(t, np.zeros(2), 6)
-    with pytest.raises(ValueError):
-        knn_query(t, np.zeros(3), 1)
-
-
-def test_query_full_k():
-    pts = rng_from(11).normal(size=(40, 2))
-    t = KdTree(pts)
-    q = np.array([0.1, -0.2])
-    idx, dist = knn_query(t, q, 40)
-    bidx, bdist = brute_knn(pts, q, 40)
-    np.testing.assert_array_equal(idx, bidx)
 
 
 def test_digamma_at_one():
@@ -252,55 +185,53 @@ def test_ksg_argument_validation():
 
 
 def test_generator_two_rows_swap():
-    d = SampleSet(np.array([[1.0], [2.0]]), np.array([[10.0], [20.0]]), np.array([[0.0], [5.0]]))
-    out = knn_permute_generator(d, k=1, seed=0)
-    np.testing.assert_array_equal(out.y, d.y[[1, 0]])
+    pool_y, pool_z = np.array([[10.0], [20.0]]), np.array([[0.0], [5.0]])
+    out = knn_permute_apply(pool_y, pool_z, np.array([[5.0], [0.0]]), k=1, seed=0)
+    np.testing.assert_array_equal(out, pool_y[[1, 0]])
 
 
-def test_generator_keeps_x_and_z():
+def test_generator_draws_y_rows_from_pool():
     rng = rng_from(21)
-    d = SampleSet(rng.normal(size=(50, 2)), rng.normal(size=(50, 1)), rng.normal(size=(50, 3)))
-    out = knn_permute_generator(d, k=5, seed=3)
-    np.testing.assert_array_equal(out.x, d.x)
-    np.testing.assert_array_equal(out.z, d.z)
-    assert set(map(tuple, out.y)) <= set(map(tuple, d.y))  # y rows resampled with replacement
+    pool_y, pool_z = rng.normal(size=(50, 2)), rng.normal(size=(50, 3))
+    out = knn_permute_apply(pool_y, pool_z, rng.normal(size=(40, 3)), k=5, seed=3)
+    assert out.shape == (40, 2)
+    assert set(map(tuple, out)) <= set(map(tuple, pool_y))  # y rows resampled with replacement
 
 
 def test_generator_respects_clusters():
     rng = rng_from(31)
     n = 60
     group = np.repeat([0, 1], n // 2)
-    z = rng.normal(size=(n, 1)) + 100.0 * group[:, None]
-    y = group.astype(float)[:, None]  # y encodes its row's group
-    d = SampleSet(rng.normal(size=(n, 1)), y, z)
-    out = knn_permute_generator(d, k=5, seed=7)
-    np.testing.assert_array_equal(out.y[:, 0], y[:, 0])
+    pool_z = rng.normal(size=(n, 1)) + 100.0 * group[:, None]
+    pool_y = group.astype(float)[:, None]  # y encodes its row's group
+    query_z = rng.normal(size=(n, 1)) + 100.0 * group[:, None]
+    out = knn_permute_apply(pool_y, pool_z, query_z, k=5, seed=7)
+    np.testing.assert_array_equal(out[:, 0], group)
 
 
 def test_generator_deterministic():
     rng = rng_from(41)
-    d = SampleSet(rng.normal(size=(40, 1)), rng.normal(size=(40, 1)), rng.normal(size=(40, 2)))
-    a = knn_permute_generator(d, k=3, seed=9)
-    b = knn_permute_generator(d, k=3, seed=9)
-    np.testing.assert_array_equal(a.y, b.y)
+    pool_y, pool_z, query_z = rng.normal(size=(40, 1)), rng.normal(size=(40, 2)), rng.normal(size=(30, 2))
+    a = knn_permute_apply(pool_y, pool_z, query_z, k=3, seed=9)
+    b = knn_permute_apply(pool_y, pool_z, query_z, k=3, seed=9)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_generator_indistinguishable_under_ci():
-    from cmikit.data import project
     from cmikit.nn import MlpArchitecture, TrainConfig, predict_proba, train_binary_classifier
 
     rng = rng_from(55)
-    n = 4000
+    n = 8000
     z = rng.normal(size=(n, 1))
     x = z + 0.3 * rng.normal(size=(n, 1))
     y = z + 0.3 * rng.normal(size=(n, 1))
-    d = SampleSet(x, y, z)
-    out = knn_permute_generator(d, k=5, seed=1)
-    joint = project(d, "xyz")
-    marg = project(out, "xyz")
-    half = n // 2
+    pool, query = slice(0, n // 2), slice(n // 2, n)  # y for the query rows comes from the pool
+    y_marg = knn_permute_apply(y[pool], z[pool], z[query], k=5, seed=1)
+    joint = np.hstack([x[query], y[query], z[query]])
+    marg = np.hstack([x[query], y_marg, z[query]])
+    half = joint.shape[0] // 2
     c = train_binary_classifier(joint[:half], marg[:half], MlpArchitecture(3, (64, 64)), TrainConfig(seed=2))
     held = np.vstack([joint[half:], marg[half:]])
-    labels = np.concatenate([np.ones(n - half), np.zeros(n - half)])
+    labels = np.concatenate([np.ones(half), np.zeros(half)])
     acc = float(np.mean((predict_proba(c, held) > 0.5) == labels))
     assert 0.45 <= acc <= 0.55
