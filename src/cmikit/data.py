@@ -30,14 +30,14 @@ class CsvFormatError(ValueError):
     """Malformed CSV input; message carries the offending line number."""
 
 
-def _as_block(a, n_expected=None) -> np.ndarray:
+def _as_block(a, name: str, n_expected=None) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2:
-        raise ValueError(f"block must be 2-D, got shape {a.shape}")
+        raise ValueError(f"{name} block must be 2-D, got shape {a.shape}")
     if n_expected is not None and a.shape[0] != n_expected:
-        raise ValueError(f"block has {a.shape[0]} rows, expected {n_expected}")
+        raise ValueError(f"{name} block has {a.shape[0]} rows, expected {n_expected}")
     return a
 
 
@@ -50,10 +50,9 @@ class SampleSet:
     z: np.ndarray
 
     def __post_init__(self):
-        x = _as_block(self.x)
-        y = _as_block(self.y, x.shape[0])
-        z = _as_block(self.z, x.shape[0]) if np.size(self.z) else np.zeros((x.shape[0], 0))
-        z = _as_block(z, x.shape[0])
+        x = _as_block(self.x, "x")
+        y = _as_block(self.y, "y", x.shape[0])
+        z = _as_block(self.z, "z", x.shape[0]) if np.size(self.z) else np.zeros((x.shape[0], 0))
         for name, b in (("x", x), ("y", y), ("z", z)):
             if b.size and not np.all(np.isfinite(b)):
                 raise ValueError(f"non-finite entries in {name} block")

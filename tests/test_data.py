@@ -26,7 +26,7 @@ def test_sample_set_shapes():
 
 
 def test_sample_set_row_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="y block has 4 rows, expected 3"):
         SampleSet(np.zeros((3, 1)), np.zeros((4, 1)), np.zeros((3, 1)))
 
 
