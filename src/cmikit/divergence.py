@@ -5,7 +5,9 @@ route trains a binary discriminator, converts its predicted probabilities to
 likelihood ratios, and evaluates the variational plug-in on held-out halves.
 The critic route trains an unconstrained scalar function against the
 exponential-moment lower bound.  Either way the returned value is a mean
-over independently re-split inner iterations.
+over independently re-split inner iterations, which share nothing but the
+input and run through ``knn.process_map``; the row splitter each route hands
+to ``_held_out_divergence`` is therefore a picklable ``partial``.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from .data import derange_rows, split_rows
+from .knn import process_map
 from .nn import (
     F_CRITIC_TRAIN_DEFAULTS,
     MlpArchitecture,
@@ -118,6 +121,29 @@ def _check_pair(dp, dq):
     return dp, dq
 
 
+def _iteration(job):
+    """One inner iteration of ``_held_out_divergence``; returns (value, accuracy).
+
+    Seed, split, standardize on the training rows, train a fresh model and
+    score it on the held-out rows.  The accuracy is nan on the critic route.
+    """
+    split, cfg, namespace, route, t = job
+    it_seed = derive_seed(cfg.seed, namespace, t)
+    p_tr, q_tr, p_ev, q_ev = split(it_seed)
+    norm = fit_standardizer(np.vstack([p_tr, q_tr]))
+    p_tr, q_tr, p_ev, q_ev = norm(p_tr), norm(q_tr), norm(p_ev), norm(q_ev)
+    tcfg = dataclasses.replace(cfg.train, seed=derive_seed(it_seed, 3))
+    if route == "critic":
+        critic = train_f_mine_critic(p_tr, q_tr, tcfg, hidden_layer_sizes=cfg.hidden_layer_sizes)
+        return f_critic_objective(critic, p_ev, q_ev), float("nan")
+    arch = MlpArchitecture(p_tr.shape[1], cfg.hidden_layer_sizes)
+    c = train_binary_classifier(p_tr, q_tr, arch, tcfg)
+    gp = np.clip(predict_proba(c, p_ev), cfg.clip, 1.0 - cfg.clip)
+    gq = np.clip(predict_proba(c, q_ev), cfg.clip, 1.0 - cfg.clip)
+    acc = float(np.sum(gp > 0.5) + np.sum(gq <= 0.5)) / (gp.size + gq.size)
+    return dv_plugin(gp, gq, cfg.clip), acc
+
+
 def _held_out_divergence(split, cfg: DivergenceConfig, namespace: int, route: str) -> DivergenceEstimate:
     """Mean over ``cfg.inner_iterations`` of a divergence scored on held-out rows.
 
@@ -125,27 +151,14 @@ def _held_out_divergence(split, cfg: DivergenceConfig, namespace: int, route: st
     iteration.  A standardizer fit on the training rows maps all four, a
     fresh model trains on the training rows, and the held-out rows score it:
     the clipped plug-in and accuracy for ``route == "classifier"``, the
-    exponential-moment objective and nan accuracy for ``"critic"``.
+    exponential-moment objective and nan accuracy for ``"critic"``.  The
+    iterations run through ``process_map``, so ``split`` must pickle: a
+    module-level function or a ``partial`` of one over arrays.
     """
-    values, accs = [], []
-    for t in range(cfg.inner_iterations):
-        it_seed = derive_seed(cfg.seed, namespace, t)
-        p_tr, q_tr, p_ev, q_ev = split(it_seed)
-        norm = fit_standardizer(np.vstack([p_tr, q_tr]))
-        p_tr, q_tr, p_ev, q_ev = norm(p_tr), norm(q_tr), norm(p_ev), norm(q_ev)
-        tcfg = dataclasses.replace(cfg.train, seed=derive_seed(it_seed, 3))
-        if route == "critic":
-            critic = train_f_mine_critic(p_tr, q_tr, tcfg, hidden_layer_sizes=cfg.hidden_layer_sizes)
-            values.append(f_critic_objective(critic, p_ev, q_ev))
-            continue
-        arch = MlpArchitecture(p_tr.shape[1], cfg.hidden_layer_sizes)
-        c = train_binary_classifier(p_tr, q_tr, arch, tcfg)
-        gp = np.clip(predict_proba(c, p_ev), cfg.clip, 1.0 - cfg.clip)
-        gq = np.clip(predict_proba(c, q_ev), cfg.clip, 1.0 - cfg.clip)
-        values.append(dv_plugin(gp, gq, cfg.clip))
-        accs.append(float(np.sum(gp > 0.5) + np.sum(gq <= 0.5)) / (gp.size + gq.size))
-    acc = float(np.mean(accs)) if accs else float("nan")
-    return DivergenceEstimate(float(np.mean(values)), tuple(values), acc)
+    jobs = [(split, cfg, namespace, route, t) for t in range(cfg.inner_iterations)]
+    values, accs = zip(*process_map(_iteration, jobs))
+    acc = float(np.mean(accs)) if route == "classifier" else float("nan")
+    return DivergenceEstimate(float(np.mean(values)), values, acc)
 
 
 def _split_each(dp, dq, it_seed):

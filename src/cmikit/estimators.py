@@ -8,6 +8,7 @@ negative outputs can optionally be truncated to zero for presentation.
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -99,12 +100,13 @@ def _product_dkl(x: np.ndarray, other: np.ndarray, dcfg: DivergenceConfig, route
     side of the fence in both pairings, so the held-out plug-in is free of
     memorization bias.
     """
-    joint = np.hstack([x, other])
-
-    def split(s):
-        return derange_split(joint, x.shape[1], derive_seed(s, 1), derive_seed(s, 2), derive_seed(s, 4))
-
+    split = partial(_split_product, np.hstack([x, other]), x.shape[1])
     return _held_out_divergence(split, dcfg, 21 if route == "classifier" else 22, route)
+
+
+def _split_product(joint: np.ndarray, dx: int, s: int):
+    """``derange_split`` of one inner iteration, its three seeds derived from ``s``."""
+    return derange_split(joint, dx, derive_seed(s, 1), derive_seed(s, 2), derive_seed(s, 4))
 
 
 def _mi_once(route: str, x: np.ndarray, y: np.ndarray, cfg: EstimatorConfig, b_seed: int) -> float:
@@ -266,8 +268,9 @@ def hyperparam_select(d, candidates, estimator: Callable = mi_diff_cmi):
     The plug-in estimates a lower bound, so among configurations the largest
     finite estimate is the principled pick.  Returns (config, estimate).
     A candidate whose training diverges or that rejects its input
-    (``TrainingDivergedError``, ``ValueError``) counts as failed; any other
-    exception propagates.  Raises if every candidate fails.
+    (``TrainingDivergedError``, ``ValueError``), or whose estimate is nan or
+    infinite, counts as failed; any other exception propagates.  Raises if
+    every candidate fails.
     """
     candidates = list(candidates)
     if not candidates:
@@ -278,12 +281,14 @@ def hyperparam_select(d, candidates, estimator: Callable = mi_diff_cmi):
         try:
             est = estimator(d, cand)
         except (TrainingDivergedError, ValueError) as exc:  # candidate failures are data
-            failures.append((cand, exc))
+            failures.append(str(exc))
             continue
-        if best is None or est.value > best[1].value:
+        if not np.isfinite(est.value):
+            failures.append(f"non-finite estimate {est.value}")
+        elif best is None or est.value > best[1].value:
             best = (cand, est)
     if best is None:
-        detail = "; ".join(str(e) for _, e in failures)
+        detail = "; ".join(failures)
         raise RuntimeError(f"all {len(candidates)} candidate configs failed: {detail}")
     return best
 

@@ -6,9 +6,12 @@ Chebyshev (max-norm) distances.  Neighbor queries, k-th neighbor radii and
 estimator counts its z, xz and yz balls with cKDTree too in few dimensions,
 and in blocked dense distance passes once the subspaces are wide enough to
 turn tree ball queries into scans.  The worker
-count and the process map that cit and the CLI share live here too.
+count and the process map that cit, the CLI and the held-out divergence
+iterations share live here too.
 """
 
+import ctypes
+import itertools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -54,17 +57,57 @@ def n_workers() -> int:
 
 def _one_thread():
     os.environ["CMIKIT_THREADS"] = "1"
+    _one_blas_thread()
+
+
+def _openblas_function(lib, stem):
+    """``stem`` under the prefix and suffix this OpenBLAS build exports, or None."""
+    for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64")):
+        fn = getattr(lib, f"{prefix}{stem}{suffix}", None)
+        if fn is not None:
+            return fn
+    return None
+
+
+def _one_blas_thread():
+    """Cap each OpenBLAS mapped into this process at one thread; a no-op without one.
+
+    A forked worker keeps its parent's BLAS thread count.  On 2 cores, two
+    workers that each hand the 64x256x256 products of a 256-unit net to a
+    second BLAS thread run four spinning threads: the width-selection test
+    in test_estimators.py took 42 s that way, 17 s in one process and 8.9 s
+    with one BLAS thread per worker.  After a fork, setting the count
+    restarts the OpenBLAS thread pool, whose idle thread then spins for
+    about 0.13 s of CPU, so the pool is shut down again at once; a build
+    without both calls is left as it is.  Linux lists mapped libraries in
+    /proc/self/maps.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = {line.split()[-1] for line in f if "openblas" in line.rsplit("/", 1)[-1]}
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return
+    for lib in libs:
+        set_threads = _openblas_function(lib, "openblas_set_num_threads")
+        shutdown = _openblas_function(lib, "blas_thread_shutdown_")
+        if set_threads is not None and shutdown is not None:
+            set_threads(1)
+            shutdown()
 
 
 def process_map(fn, items):
     """Index-ordered map over up to n_workers() forked processes, each on one thread.
 
     ``items`` is a sequence; ``fn`` must be a module-level function, and items
-    and results must pickle.
+    and results must pickle, callables inside them included (a ``partial``
+    of a module-level function pickles, a closure does not).
     Forked workers inherit the imported modules instead of importing them
     again; the package keeps no thread of its own alive between calls, so
-    none is lost across the fork.  With one worker, or where the OS has no
-    fork, the items run here in order.
+    none is lost across the fork.  Each worker sets ``CMIKIT_THREADS=1`` and
+    caps OpenBLAS at one thread.  With one worker, or where the OS has no
+    fork, the items run here in order, so a map called inside a worker runs
+    in that worker and never starts a pool of its own.
     """
     workers = min(n_workers(), len(items))
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():

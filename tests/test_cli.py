@@ -323,6 +323,39 @@ def test_cit_worker_failure_matches_in_process_failure(workdir, monkeypatch, cap
     assert results[0][1]["error"]["type"] == "TrainingDivergedError"
 
 
+def test_classifier_estimate_payloads_do_not_depend_on_cmikit_threads(workdir, small_file, monkeypatch):
+    config = workdir / "threads_classifier.json"
+    config.write_text(json.dumps({"bootstrap": 2, "divergence": {"train": {"epochs": 3}}}),
+                      encoding="utf-8")
+    payloads = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CMIKIT_THREADS", threads)
+        outs = {m: workdir / f"threads_{m}_{threads}.json" for m in ("ccmi", "gen-classifier", "f-mine-diff")}
+        for method, out in outs.items():
+            assert run_cli(["estimate", "--in", small_file, "--method", method,
+                            "--config", config, "--seed", 3, "--out", out]) == 0
+        payloads.append([out.read_bytes() for out in outs.values()])
+    assert payloads[0] == payloads[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_estimate_worker_failure_matches_in_process_failure(workdir, small_file, monkeypatch, capsys):
+    config = workdir / "diverges_est.json"
+    config.write_text(json.dumps({"divergence": {"train": {"epochs": 2, "learning_rate": 1e300}}}),
+                      encoding="utf-8")
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CMIKIT_THREADS", threads)
+        out = workdir / f"est_diverged_{threads}.json"
+        rc = run_cli(["estimate", "--in", small_file, "--method", "ccmi",
+                      "--config", config, "--out", out])
+        results.append((rc, json.loads(capsys.readouterr().out)))
+        assert not out.exists()
+    assert results[0] == results[1]
+    assert results[0][0] == 1
+    assert results[0][1]["error"]["type"] == "TrainingDivergedError"
+
+
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_grid_cardinality_and_truth_column(workdir):

@@ -9,6 +9,7 @@ from cmikit.divergence import (
     DivergenceConfig,
     DivergenceEstimate,
     classifier_dkl,
+    classifier_dkl_paired,
     dv_plugin,
     f_mine_defaults,
     f_mine_dkl,
@@ -160,6 +161,28 @@ def test_f_mine_custom_epochs_run():
     )
     est = f_mine_dkl(joint, prod, cfg)
     assert np.isfinite(est.value)
+
+
+@pytest.mark.parametrize("estimate, cfg", [
+    (classifier_dkl, DivergenceConfig(train=TrainConfig(epochs=3), seed=5)),
+    (classifier_dkl_paired, DivergenceConfig(train=TrainConfig(epochs=3), seed=5)),
+    # 256-unit layers hand products to a second BLAS thread outside the pool
+    (classifier_dkl, DivergenceConfig(hidden_layer_sizes=(256, 256), train=TrainConfig(epochs=2), seed=5)),
+    (f_mine_dkl, dataclasses.replace(f_mine_defaults(5), train=TrainConfig(epochs=3, learning_rate=1e-4))),
+])
+def test_estimates_do_not_depend_on_cmikit_threads(monkeypatch, estimate, cfg):
+    joint, prod, _ = joint_and_product(0.6, 400, seed=31)
+    got = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CMIKIT_THREADS", threads)
+        got.append(estimate(joint, prod, cfg))
+    one, two = got
+    assert one.value == two.value
+    assert one.per_iteration == two.per_iteration
+    if estimate is f_mine_dkl:
+        assert np.isnan(one.mean_eval_accuracy) and np.isnan(two.mean_eval_accuracy)
+    else:
+        assert one.mean_eval_accuracy == two.mean_eval_accuracy
 
 
 def test_biasfree_logistic_misses_marginal_dependence():

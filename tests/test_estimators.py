@@ -5,7 +5,9 @@ import pytest
 
 from cmikit.data import SampleSet
 from cmikit.datagen import gen_gauss_corr, gen_linear, gen_post_nonlinear_cit
+from cmikit.divergence import f_mine_defaults
 from cmikit.estimators import (
+    CmiEstimate,
     EstimatorConfig,
     bias_corrected_cmi,
     classifier_mi,
@@ -18,6 +20,7 @@ from cmikit.estimators import (
     with_train,
 )
 from cmikit.knn import ksg_cmi_sweep
+from cmikit.nn import TrainingDivergedError
 
 
 def mi_on_pair(pair, cfg):
@@ -241,6 +244,34 @@ def test_selection_requires_candidates_and_survives_failures():
         hyperparam_select((d.x, d.y), [EstimatorConfig()], estimator=broken)
 
 
+@pytest.mark.parametrize("values, pick", [((np.nan, 1.0), 1), ((1.0, np.inf), 0), ((-np.inf, -0.5), 1)])
+def test_selection_counts_nonfinite_estimates_as_failures(values, pick):
+    cands = [EstimatorConfig(seed=i) for i in range(len(values))]
+    cfg, est = hyperparam_select(None, cands, estimator=lambda d, c: CmiEstimate(values[c.seed]))
+    assert cfg is cands[pick]
+    assert est.value == values[pick]
+
+
+def test_selection_fails_when_every_estimate_is_nonfinite():
+    cands = [EstimatorConfig(seed=i) for i in range(2)]
+    values = (np.nan, np.inf)
+    with pytest.raises(RuntimeError, match="2 candidate.*non-finite estimate nan; non-finite estimate inf"):
+        hyperparam_select(None, cands, estimator=lambda d, c: CmiEstimate(values[c.seed]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_selection_skips_a_candidate_that_diverges_in_a_worker(monkeypatch):
+    monkeypatch.setenv("CMIKIT_THREADS", "2")
+    d, _ = gen_gauss_corr(d=1, rho=0.6, n=500, seed=0)
+    good = with_train(EstimatorConfig(seed=0), epochs=3)
+    bad = with_train(good, learning_rate=1e300)
+    with pytest.raises(TrainingDivergedError):
+        mi_on_pair((d.x, d.y), bad)
+    cfg, est = hyperparam_select((d.x, d.y), [bad, good], estimator=mi_on_pair)
+    assert cfg is good
+    assert est == classifier_mi(d.x, d.y, good)
+
+
 def test_selection_does_not_swallow_programming_errors():
     d, _ = gen_gauss_corr(d=1, rho=0.6, n=500, seed=0)
 
@@ -330,6 +361,8 @@ def test_nonfinite_input_is_rejected_before_training(block, bad):
 @pytest.mark.parametrize("estimate", [
     lambda d: ksg_cmi_sweep(d, [3, 5], seed=2),
     lambda d: generator_classifier_cmi(d, EstimatorConfig(bootstrap=2, seed=3)).value,
+    lambda d: mi_diff_cmi(d, with_train(EstimatorConfig(seed=4), epochs=3)),
+    lambda d: f_mine_diff_cmi(d, with_train(EstimatorConfig(divergence=f_mine_defaults(), seed=4), epochs=3)),
 ])
 def test_estimates_do_not_depend_on_cmikit_threads(monkeypatch, estimate):
     d, _ = gen_linear("I", d_z=3, n=400, seed=61)

@@ -1,5 +1,7 @@
+import ctypes
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from cmikit.data import SampleSet
 from cmikit.datagen import gen_gauss_corr, gen_linear
 from cmikit.knn import (
     _ball_counts,
+    _openblas_function,
     _tree_ball_counts,
     digamma,
     knn_permute_apply,
@@ -153,6 +156,45 @@ def test_process_map_keeps_order_and_runs_workers_on_one_thread(monkeypatch, thr
         assert os.getpid() not in pids and len(pids) <= int(threads)
     assert os.environ["CMIKIT_THREADS"] == threads  # only the workers were set to one thread
     assert process_map(_worker_view, []) == []
+
+
+def _blas_threads(item):
+    """Thread count of each OpenBLAS mapped into this process."""
+    with open("/proc/self/maps", encoding="utf-8") as f:
+        paths = {line.split()[-1] for line in f if "openblas" in line.rsplit("/", 1)[-1]}
+    getters = [_openblas_function(ctypes.CDLL(path), "openblas_get_num_threads") for path in sorted(paths)]
+    return [get() for get in getters if get is not None]
+
+
+def _idle_worker_view(item):
+    c0 = time.process_time()
+    time.sleep(0.3)  # a restarted, idle OpenBLAS pool spins for about 0.13 s of CPU
+    return _blas_threads(item), time.process_time() - c0
+
+
+def test_process_map_workers_run_blas_on_one_thread(monkeypatch):
+    if not os.path.exists("/proc/self/maps") or not _blas_threads(None):
+        pytest.skip("needs an OpenBLAS listed in /proc/self/maps")
+    monkeypatch.setenv("CMIKIT_THREADS", "2")
+    parent = _blas_threads(None)
+    got = process_map(_idle_worker_view, range(2))
+    assert [counts for counts, _ in got] == [[1] * len(parent)] * 2
+    assert all(idle_cpu < 0.05 for _, idle_cpu in got)
+    assert _blas_threads(None) == parent
+
+
+def _nested_view(item):
+    return os.getpid(), process_map(_worker_view, range(3))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_nested_process_map_runs_in_the_calling_worker(monkeypatch, threads):
+    monkeypatch.setenv("CMIKIT_THREADS", threads)
+    got = process_map(_nested_view, range(4))
+    for outer_pid, inner in got:
+        assert [item for item, _, _ in inner] == [0, 1, 2]
+        assert {pid for _, _, pid in inner} == {outer_pid}  # no grandchild pool
+    assert ({pid for pid, _ in got} == {os.getpid()}) == (threads == "1")
 
 
 def test_ksg_sweep_matches_single_k():
