@@ -108,11 +108,6 @@ def precision_recall_at_zero(scores, labels, threshold: float = 0.0):
     return precision, float(recall)
 
 
-def _score(job):
-    d, cfg = job
-    return mi_diff_cmi(d, cfg).value
-
-
 def run_cit_benchmark(
     specs, cfg: EstimatorConfig = EstimatorConfig(), seed: int = 0
 ) -> CitBenchmark:
@@ -134,9 +129,11 @@ def run_cit_benchmark(
         labels.append(bool(truth.value))
     if all(labels) or not any(labels):
         raise ValueError("need both labels present")
-    jobs = [(d, dataclasses.replace(cfg, seed=derive_seed(seed, 61, i)))
-            for i, d in enumerate(datasets)]
-    scores = process_map(_score, jobs)
+
+    def score(i):
+        return mi_diff_cmi(datasets[i], dataclasses.replace(cfg, seed=derive_seed(seed, 61, i))).value
+
+    scores = process_map(score, range(len(datasets)))
     return CitBenchmark(tuple(datasets), tuple(labels), tuple(scores), cfg, seed)
 
 

@@ -57,8 +57,6 @@ def _from_dict(cls, data, where):
             value = _from_dict(DivergenceConfig, value, here)
         elif key == "train":
             value = _from_dict(TrainConfig, value, here)
-        elif key == "hidden_layer_sizes":
-            value = tuple(value)
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -184,13 +182,6 @@ def _estimate(d, method, cfg, ks):
     }
 
 
-def _score_cell(job):
-    """One sweep cell: generate its dataset, then (estimate, ground truth)."""
-    spec, cfg, method, ks = job
-    d, truth = generate(spec)
-    return _estimate(d, method, cfg, ks)["value"], truth.value
-
-
 # --- subcommands -------------------------------------------------------------
 
 def cmd_gen(args) -> int:
@@ -288,12 +279,15 @@ def cmd_sweep(args) -> int:
     base_cfg = _load_estimator_config(args.config, None, f_mine=args.method == "f-mine-diff")
     ks = _int_list(args.k, "--k")
     cells = [(n, dz, run) for n in n_grid for dz in dz_grid for run in range(args.runs)]
-    jobs = [
-        (_model_spec_from_args(args, n, dz, derive_seed(seed, 71, idx)),
-         dataclasses.replace(base_cfg, seed=derive_seed(seed, 72, idx)), args.method, ks)
-        for idx, (n, dz, _) in enumerate(cells)
-    ]
-    rows = process_map(_score_cell, jobs)
+    specs = [_model_spec_from_args(args, n, dz, derive_seed(seed, 71, idx))
+             for idx, (n, dz, _) in enumerate(cells)]
+
+    def score_cell(idx):  # (estimate, ground truth) of one cell
+        d, truth = generate(specs[idx])
+        cfg = dataclasses.replace(base_cfg, seed=derive_seed(seed, 72, idx))
+        return _estimate(d, args.method, cfg, ks)["value"], truth.value
+
+    rows = process_map(score_cell, range(len(cells)))
     lines = ["n,d_z,run,estimate,truth"]
     for (n, dz, run), (value, truth) in zip(cells, rows):
         lines.append(f"{n},{dz},{run},{value!r},{truth!r}")

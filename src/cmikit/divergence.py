@@ -6,13 +6,11 @@ likelihood ratios, and evaluates the variational plug-in on held-out halves.
 The critic route trains an unconstrained scalar function against the
 exponential-moment lower bound.  Either way the returned value is a mean
 over independently re-split inner iterations, which share nothing but the
-input and run through ``knn.process_map``; the row splitter each route hands
-to ``_held_out_divergence`` is therefore a picklable ``partial``.
+input and run through ``knn.process_map``.
 """
 
 import dataclasses
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -22,6 +20,7 @@ from .nn import (
     F_CRITIC_TRAIN_DEFAULTS,
     MlpArchitecture,
     TrainConfig,
+    check_count,
     f_critic_objective,
     predict_proba,
     train_binary_classifier,
@@ -72,8 +71,11 @@ class DivergenceConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_layer_sizes", tuple(self.hidden_layer_sizes))
-        if self.inner_iterations < 1:
-            raise ValueError("inner_iterations must be positive")
+        check_count("inner_iterations", self.inner_iterations)
+        if not self.hidden_layer_sizes:
+            raise ValueError("hidden_layer_sizes must name at least one layer")
+        for i, h in enumerate(self.hidden_layer_sizes):
+            check_count(f"hidden_layer_sizes[{i}]", h)
         if not 0.0 < self.clip < 0.5:
             raise ValueError("clip must lie in (0, 0.5)")
 
@@ -121,29 +123,6 @@ def _check_pair(dp, dq):
     return dp, dq
 
 
-def _iteration(job):
-    """One inner iteration of ``_held_out_divergence``; returns (value, accuracy).
-
-    Seed, split, standardize on the training rows, train a fresh model and
-    score it on the held-out rows.  The accuracy is nan on the critic route.
-    """
-    split, cfg, namespace, route, t = job
-    it_seed = derive_seed(cfg.seed, namespace, t)
-    p_tr, q_tr, p_ev, q_ev = split(it_seed)
-    norm = fit_standardizer(np.vstack([p_tr, q_tr]))
-    p_tr, q_tr, p_ev, q_ev = norm(p_tr), norm(q_tr), norm(p_ev), norm(q_ev)
-    tcfg = dataclasses.replace(cfg.train, seed=derive_seed(it_seed, 3))
-    if route == "critic":
-        critic = train_f_mine_critic(p_tr, q_tr, tcfg, hidden_layer_sizes=cfg.hidden_layer_sizes)
-        return f_critic_objective(critic, p_ev, q_ev), float("nan")
-    arch = MlpArchitecture(p_tr.shape[1], cfg.hidden_layer_sizes)
-    c = train_binary_classifier(p_tr, q_tr, arch, tcfg)
-    gp = np.clip(predict_proba(c, p_ev), cfg.clip, 1.0 - cfg.clip)
-    gq = np.clip(predict_proba(c, q_ev), cfg.clip, 1.0 - cfg.clip)
-    acc = float(np.sum(gp > 0.5) + np.sum(gq <= 0.5)) / (gp.size + gq.size)
-    return dv_plugin(gp, gq, cfg.clip), acc
-
-
 def _held_out_divergence(split, cfg: DivergenceConfig, namespace: int, route: str) -> DivergenceEstimate:
     """Mean over ``cfg.inner_iterations`` of a divergence scored on held-out rows.
 
@@ -152,11 +131,26 @@ def _held_out_divergence(split, cfg: DivergenceConfig, namespace: int, route: st
     fresh model trains on the training rows, and the held-out rows score it:
     the clipped plug-in and accuracy for ``route == "classifier"``, the
     exponential-moment objective and nan accuracy for ``"critic"``.  The
-    iterations run through ``process_map``, so ``split`` must pickle: a
-    module-level function or a ``partial`` of one over arrays.
+    iterations run through ``process_map``.
     """
-    jobs = [(split, cfg, namespace, route, t) for t in range(cfg.inner_iterations)]
-    values, accs = zip(*process_map(_iteration, jobs))
+
+    def iteration(t):  # (value, accuracy) of inner iteration t
+        it_seed = derive_seed(cfg.seed, namespace, t)
+        p_tr, q_tr, p_ev, q_ev = split(it_seed)
+        norm = fit_standardizer(np.vstack([p_tr, q_tr]))
+        p_tr, q_tr, p_ev, q_ev = norm(p_tr), norm(q_tr), norm(p_ev), norm(q_ev)
+        tcfg = dataclasses.replace(cfg.train, seed=derive_seed(it_seed, 3))
+        if route == "critic":
+            critic = train_f_mine_critic(p_tr, q_tr, tcfg, hidden_layer_sizes=cfg.hidden_layer_sizes)
+            return f_critic_objective(critic, p_ev, q_ev), float("nan")
+        arch = MlpArchitecture(p_tr.shape[1], cfg.hidden_layer_sizes)
+        c = train_binary_classifier(p_tr, q_tr, arch, tcfg)
+        gp = np.clip(predict_proba(c, p_ev), cfg.clip, 1.0 - cfg.clip)
+        gq = np.clip(predict_proba(c, q_ev), cfg.clip, 1.0 - cfg.clip)
+        acc = float(np.sum(gp > 0.5) + np.sum(gq <= 0.5)) / (gp.size + gq.size)
+        return dv_plugin(gp, gq, cfg.clip), acc
+
+    values, accs = zip(*process_map(iteration, range(cfg.inner_iterations)))
     acc = float(np.mean(accs)) if route == "classifier" else float("nan")
     return DivergenceEstimate(float(np.mean(values)), values, acc)
 
@@ -195,7 +189,7 @@ def classifier_dkl(dp, dq, cfg: DivergenceConfig = DivergenceConfig()) -> Diverg
     the plug-in on the held-out halves with clipped probabilities.
     """
     dp, dq = _check_pair(dp, dq)
-    return _held_out_divergence(partial(_split_each, dp, dq), cfg, 21, "classifier")
+    return _held_out_divergence(lambda s: _split_each(dp, dq, s), cfg, 21, "classifier")
 
 
 def classifier_dkl_paired(dp, dq, cfg: DivergenceConfig = DivergenceConfig()) -> DivergenceEstimate:
@@ -212,7 +206,7 @@ def classifier_dkl_paired(dp, dq, cfg: DivergenceConfig = DivergenceConfig()) ->
     if dp.shape[0] != dq.shape[0]:
         raise ValueError("paired splitting needs equal row counts")
     stacked = np.hstack([dp, dq])
-    return _held_out_divergence(partial(_split_paired, stacked, dp.shape[1]), cfg, 23, "classifier")
+    return _held_out_divergence(lambda s: _split_paired(stacked, dp.shape[1], s), cfg, 23, "classifier")
 
 
 def f_mine_defaults(seed: int = 0) -> DivergenceConfig:
@@ -236,4 +230,4 @@ def f_mine_dkl(dp, dq, cfg: DivergenceConfig | None = None) -> DivergenceEstimat
     if cfg is None:
         cfg = f_mine_defaults()
     dp, dq = _check_pair(dp, dq)
-    return _held_out_divergence(partial(_split_each, dp, dq), cfg, 22, "critic")
+    return _held_out_divergence(lambda s: _split_each(dp, dq, s), cfg, 22, "critic")

@@ -8,7 +8,6 @@ negative outputs can optionally be truncated to zero for presentation.
 
 import dataclasses
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,7 +22,7 @@ from .divergence import (
     f_mine_defaults,
 )
 from .knn import knn_permute_apply
-from .nn import TrainingDivergedError
+from .nn import TrainingDivergedError, check_count
 from .seeding import derive_seed
 
 __all__ = [
@@ -59,12 +58,11 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bootstrap is not None and self.bootstrap < 1:
-            raise ValueError("bootstrap must be positive (or None for the path default)")
+        if self.bootstrap is not None:  # None picks the path default
+            check_count("bootstrap", self.bootstrap)
         if self.generator not in GENERATOR_KINDS:
             raise ValueError(f"generator must be one of {GENERATOR_KINDS}")
-        if self.generator_k < 1:
-            raise ValueError("generator_k must be positive")
+        check_count("generator_k", self.generator_k)
 
 
 @dataclass(frozen=True)
@@ -100,13 +98,12 @@ def _product_dkl(x: np.ndarray, other: np.ndarray, dcfg: DivergenceConfig, route
     side of the fence in both pairings, so the held-out plug-in is free of
     memorization bias.
     """
-    split = partial(_split_product, np.hstack([x, other]), x.shape[1])
+    joint, dx = np.hstack([x, other]), x.shape[1]
+
+    def split(s):
+        return derange_split(joint, dx, derive_seed(s, 1), derive_seed(s, 2), derive_seed(s, 4))
+
     return _held_out_divergence(split, dcfg, 21 if route == "classifier" else 22, route)
-
-
-def _split_product(joint: np.ndarray, dx: int, s: int):
-    """``derange_split`` of one inner iteration, its three seeds derived from ``s``."""
-    return derange_split(joint, dx, derive_seed(s, 1), derive_seed(s, 2), derive_seed(s, 4))
 
 
 def _mi_once(route: str, x: np.ndarray, y: np.ndarray, cfg: EstimatorConfig, b_seed: int) -> float:

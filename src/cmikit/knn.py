@@ -55,11 +55,6 @@ def n_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _one_thread():
-    os.environ["CMIKIT_THREADS"] = "1"
-    _one_blas_thread()
-
-
 def _openblas_function(lib, stem):
     """``stem`` under the prefix and suffix this OpenBLAS build exports, or None."""
     for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_", "_64")):
@@ -96,25 +91,39 @@ def _one_blas_thread():
             shutdown()
 
 
+_JOBS = None  # (fn, items) of the map this pool worker serves
+
+
+def _start_worker(fn, items):
+    global _JOBS
+    _JOBS = fn, items
+    os.environ["CMIKIT_THREADS"] = "1"
+    _one_blas_thread()
+
+
+def _run_job(i):
+    fn, items = _JOBS
+    return fn(items[i])
+
+
 def process_map(fn, items):
     """Index-ordered map over up to n_workers() forked processes, each on one thread.
 
-    ``items`` is a sequence; ``fn`` must be a module-level function, and items
-    and results must pickle, callables inside them included (a ``partial``
-    of a module-level function pickles, a closure does not).
-    Forked workers inherit the imported modules instead of importing them
-    again; the package keeps no thread of its own alive between calls, so
-    none is lost across the fork.  Each worker sets ``CMIKIT_THREADS=1`` and
-    caps OpenBLAS at one thread.  With one worker, or where the OS has no
-    fork, the items run here in order, so a map called inside a worker runs
-    in that worker and never starts a pool of its own.
+    Workers inherit ``fn`` and the sequence ``items`` through the fork, so
+    neither needs to pickle: only indices go out, and only results and raised
+    exceptions, which must pickle, come back.  The package keeps no thread
+    alive between calls, so none is lost across the fork.  Each worker sets
+    ``CMIKIT_THREADS=1`` and caps OpenBLAS at one thread.  With one worker,
+    or where the OS has no fork, the items run here in order, so a map
+    called inside a worker runs in that worker and starts no pool.
     """
     workers = min(n_workers(), len(items))
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_one_thread) as pool:
-        return list(pool.map(fn, items))
+    with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_start_worker,
+                             initargs=(fn, items)) as pool:
+        return list(pool.map(_run_job, range(len(items))))
 
 
 # --- digamma ----------------------------------------------------------------

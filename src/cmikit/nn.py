@@ -7,6 +7,7 @@ mode for the f-divergence lower bound.  Everything is plain numpy and fully
 deterministic given a seed.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,10 +20,8 @@ __all__ = [
     "MlpClassifier",
     "TrainingDivergedError",
     "mlp_init",
-    "forward_logit",
     "predict_proba",
     "predict_logit",
-    "bce_loss",
     "loss_and_gradients",
     "adam_step",
     "train_binary_classifier",
@@ -33,6 +32,12 @@ __all__ = [
 
 class TrainingDivergedError(RuntimeError):
     """Loss or a parameter became non-finite during training."""
+
+
+def check_count(name: str, value) -> None:
+    """Reject a ``value`` that is not an integer of at least 1, naming ``name``."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be positive")
+        check_count("batch_size", self.batch_size)
+        check_count("epochs", self.epochs)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
@@ -210,14 +215,6 @@ def predict_logit(c: MlpClassifier, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_logit(c: MlpClassifier, x) -> float:
-    """Pre-sigmoid logit for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("forward_logit expects a single 1-D input")
-    return float(predict_logit(c, x)[0])
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows; each branch is the stable form for its sign of z
     e = np.exp(-np.abs(z))
@@ -227,19 +224,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def predict_proba(c: MlpClassifier, x) -> np.ndarray:
     """Predicted probability of class 1 for each row of ``x``."""
     return _sigmoid(predict_logit(c, x))
-
-
-def bce_loss(probabilities, labels) -> float:
-    """Mean binary cross entropy in nats from already-computed probabilities."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    l = np.asarray(labels, dtype=np.float64)
-    if p.shape != l.shape:
-        raise ValueError("probabilities and labels must have equal length")
-    if p.size == 0:
-        raise ValueError("empty inputs")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("probabilities must lie strictly inside (0, 1)")
-    return float(-np.mean(l * np.log(p) + (1.0 - l) * np.log(1.0 - p)))
 
 
 def _l2_penalty(c: MlpClassifier, l2: float) -> float:

@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+from cmikit import divergence
 from cmikit.cli import main
 from cmikit.data import load_csv
 from cmikit.datagen import ModelSpec, generate
@@ -244,6 +245,32 @@ def test_estimate_rejects_unknown_config_keys(workdir, small_file, capsys):
                   "--config", config, "--out", workdir / "y3.json"])
     assert rc == 1
     assert "boostrap" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
+def _no_fit(fn, items):
+    raise AssertionError("training started before the config was validated")
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"divergence": {"hidden_layer_sizes": [2.5]}}, "hidden_layer_sizes[0]"),
+    ({"divergence": {"hidden_layer_sizes": [64, 0]}}, "hidden_layer_sizes[1]"),
+    ({"divergence": {"hidden_layer_sizes": []}}, "hidden_layer_sizes"),
+    ({"divergence": {"train": {"epochs": 2.0}}}, "epochs"),
+    ({"divergence": {"train": {"batch_size": 32.5}}}, "batch_size"),
+    ({"divergence": {"inner_iterations": 1.5}}, "inner_iterations"),
+    ({"generator_k": 2.5}, "generator_k"),
+    ({"bootstrap": 1.5}, "bootstrap"),
+])
+def test_estimate_rejects_bad_counts_before_training(workdir, small_file, monkeypatch, capsys, config, field):
+    monkeypatch.setattr(divergence, "process_map", _no_fit)
+    path = workdir / "cfg_bad_count.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    rc = run_cli(["estimate", "--in", small_file, "--method", "ccmi",
+                  "--config", path, "--out", workdir / "bad_count.json"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert rc == 1
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{field} must")
 
 
 # --- cit ---------------------------------------------------------------------

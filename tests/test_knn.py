@@ -197,6 +197,25 @@ def test_nested_process_map_runs_in_the_calling_worker(monkeypatch, threads):
     assert ({pid for pid, _ in got} == {os.getpid()}) == (threads == "1")
 
 
+class _Unpicklable:
+    def __init__(self, i):
+        self.i = i
+
+    def __reduce__(self):
+        raise TypeError("a process_map item was pickled")
+
+
+def test_process_map_hands_workers_closures_and_items_through_the_fork(monkeypatch):
+    monkeypatch.setenv("CMIKIT_THREADS", "2")
+    big = rng_from(3).normal(size=(10000, 22))
+    items = [_Unpicklable(i) for i in range(6)]
+    got = process_map(lambda item: (item.i, big[item.i * 1000].sum(), os.getpid()), items)
+    assert [i for i, _, _ in got] == list(range(6))
+    assert [s for _, s, _ in got] == [big[i * 1000].sum() for i in range(6)]
+    pids = {pid for _, _, pid in got}
+    assert os.getpid() not in pids and len(pids) <= 2
+
+
 def test_ksg_sweep_matches_single_k():
     d, _ = gen_linear("I", 2, 1200, 0.1, seed=7)
     from cmikit.knn import ksg_cmi_sweep

@@ -12,9 +12,7 @@ from cmikit.nn import (
     _check_finite,
     _l2_penalty,
     adam_step,
-    bce_loss,
     f_critic_objective,
-    forward_logit,
     loss_and_gradients,
     mlp_init,
     predict_logit,
@@ -55,7 +53,7 @@ def test_zero_network_logit():
     for w in c.weights:
         w[:] = 0.0
     x = np.array([1.0, -2.0, 3.0, 0.5])
-    assert forward_logit(c, x) == 0.0
+    assert predict_logit(c, x)[0] == 0.0
     assert predict_proba(c, x)[0] == 0.5
 
 
@@ -66,7 +64,7 @@ def test_passthrough_linear_logit():
     c.weights[1][:] = np.array([[1.0]])
     c.biases[0][:] = 0.0
     c.biases[1][:] = 0.0
-    assert forward_logit(c, np.array([2.0, 3.0])) == pytest.approx(5.0)
+    assert predict_logit(c, np.array([2.0, 3.0]))[0] == pytest.approx(5.0)
 
 
 def test_sigmoid_identity():
@@ -100,32 +98,23 @@ def test_blocked_predict_matches_one_shot_forward(hidden, n_rows):
 def test_forward_logit_is_predict_logit_on_one_row():
     c = mlp_init(MlpArchitecture(5, (16, 8)), seed=6)
     x = rng_from(7).normal(size=5)
-    assert forward_logit(c, x) == _one_shot_logit(c, x[None, :])[0]
+    assert predict_logit(c, x)[0] == _one_shot_logit(c, x[None, :])[0]
     assert predict_logit(c, x).shape == (1,)
 
 
 def test_forward_logit_dim_mismatch():
     c = mlp_init(MlpArchitecture(3, (4,)), seed=0)
     with pytest.raises(ValueError):
-        forward_logit(c, np.zeros(2))
+        predict_logit(c, np.zeros(2))
 
 
-def test_bce_uninformative():
-    assert bce_loss([0.5, 0.5], [1, 0]) == pytest.approx(np.log(2.0), rel=1e-12)
-
-
-def test_bce_near_perfect():
-    tau = 1e-3
-    assert bce_loss([1 - tau, tau], [1, 0]) == pytest.approx(0.0010005003335835335, rel=1e-10)
-
-
-def test_bce_confidently_wrong():
-    assert bce_loss([0.9, 0.1], [0, 1]) == pytest.approx(-np.log(0.1), rel=1e-12)
-
-
-def test_bce_rejects_boundary():
-    with pytest.raises(ValueError):
-        bce_loss([1.0, 0.5], [1, 0])
+def test_zero_network_loss_is_ln2():
+    # every logit is 0, so each row costs softplus(0) = ln 2 whatever its label
+    c = mlp_init(MlpArchitecture(3, (8, 4)), seed=0)
+    c.params[:] = 0.0
+    x = rng_from(8).normal(size=(4, 3))
+    loss, _, _ = loss_and_gradients(c, x, np.array([1.0, 0.0, 0.0, 1.0]), l2=0.0)
+    assert loss == np.log(2.0)
 
 
 def test_gradient_matches_finite_differences():
