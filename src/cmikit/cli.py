@@ -23,7 +23,7 @@ from . import __version__
 from .cit import benchmark_csv, reliability_curve, run_cit_benchmark
 from .data import load_csv, write_csv
 from .datagen import MODEL_KINDS, ModelSpec, dataset_metadata, generate
-from .divergence import DivergenceConfig, derange_split, f_mine_defaults
+from .divergence import derange_split, f_mine_defaults
 from .estimators import (
     EstimatorConfig,
     f_mine_diff_cmi,
@@ -31,7 +31,7 @@ from .estimators import (
     mi_diff_cmi,
 )
 from .knn import ksg_cmi_sweep, ksg_mi, process_map
-from .nn import MlpArchitecture, TrainConfig, predict_proba, train_binary_classifier
+from .nn import MlpArchitecture, predict_proba, train_binary_classifier
 from .seeding import derive_seed
 
 __all__ = ["main"]
@@ -43,30 +43,32 @@ DZ_REQUIRED_KINDS = ("linear-i", "linear-ii", "nonlinear", "post-nonlinear")
 
 # --- config and output plumbing ---------------------------------------------
 
-def _from_dict(cls, data, where):
-    """Build a (possibly nested) config dataclass, rejecting unknown keys."""
+def _from_dict(base, data, where):
+    """``base`` with the JSON object ``data`` laid over it, nested configs included."""
     if not isinstance(data, dict):
         raise ValueError(f"{where or 'config'} must be a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    names = {f.name for f in dataclasses.fields(base)}
     kwargs = {}
     for key, value in data.items():
         here = f"{where}.{key}" if where else key
-        if key not in fields:
+        if key not in names:
             raise ValueError(f"unknown config key {here!r}")
-        if key == "divergence":
-            value = _from_dict(DivergenceConfig, value, here)
-        elif key == "train":
-            value = _from_dict(TrainConfig, value, here)
+        if dataclasses.is_dataclass(getattr(base, key)):
+            value = _from_dict(getattr(base, key), value, here)
         kwargs[key] = value
-    return cls(**kwargs)
+    return dataclasses.replace(base, **kwargs)
 
 
-def _load_estimator_config(path, seed_flag, f_mine: bool = False) -> EstimatorConfig:
-    """Resolve the estimator config from an optional JSON file plus --seed."""
-    if path is None:
-        cfg = EstimatorConfig(divergence=f_mine_defaults()) if f_mine else EstimatorConfig()
-    else:
-        cfg = _from_dict(EstimatorConfig, json.loads(Path(path).read_text(encoding="utf-8")), "")
+def _method_defaults(method) -> EstimatorConfig:
+    """The config ``method`` runs with where no config file says otherwise."""
+    return EstimatorConfig(divergence=f_mine_defaults()) if method == "f-mine-diff" else EstimatorConfig()
+
+
+def _load_estimator_config(path, seed_flag, base: EstimatorConfig = EstimatorConfig()) -> EstimatorConfig:
+    """Resolve the estimator config: ``base``, an optional JSON file over it, then --seed."""
+    cfg = base
+    if path is not None:
+        cfg = _from_dict(base, json.loads(Path(path).read_text(encoding="utf-8")), "")
     if seed_flag is not None:
         cfg = dataclasses.replace(cfg, seed=seed_flag)
     return cfg
@@ -208,7 +210,7 @@ def cmd_gen(args) -> int:
 def cmd_estimate(args) -> int:
     started = time.time()
     d, meta = _load_input(args)
-    cfg = _load_estimator_config(args.config, args.seed, f_mine=args.method == "f-mine-diff")
+    cfg = _load_estimator_config(args.config, args.seed, _method_defaults(args.method))
     ks = _int_list(args.k, "--k")
     result = _estimate(d, args.method, cfg, ks)
     payload = {
@@ -248,7 +250,7 @@ def cmd_cit(args) -> int:
         if unknown:
             raise ValueError(f"specs[{i}] has unknown keys {sorted(unknown)}")
         specs.append(ModelSpec(**sd))
-    cfg = _from_dict(EstimatorConfig, conf.get("estimator", {}), "estimator")
+    cfg = _from_dict(EstimatorConfig(), conf.get("estimator", {}), "estimator")
     seed = args.seed if args.seed is not None else 0
     bench = run_cit_benchmark(specs, cfg, seed=seed)
     payload = {
@@ -276,7 +278,7 @@ def cmd_sweep(args) -> int:
     dz_grid = sorted(set(_int_list(args.dz_grid, "--dz-grid"))) if args.dz_grid else [0]
     if args.runs < 1:
         raise ValueError("--runs must be positive")
-    base_cfg = _load_estimator_config(args.config, None, f_mine=args.method == "f-mine-diff")
+    base_cfg = _load_estimator_config(args.config, None, _method_defaults(args.method))
     ks = _int_list(args.k, "--k")
     cells = [(n, dz, run) for n in n_grid for dz in dz_grid for run in range(args.runs)]
     specs = [_model_spec_from_args(args, n, dz, derive_seed(seed, 71, idx))

@@ -70,7 +70,10 @@ class DivergenceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_layer_sizes", tuple(self.hidden_layer_sizes))
+        try:
+            object.__setattr__(self, "hidden_layer_sizes", tuple(self.hidden_layer_sizes))
+        except TypeError:
+            raise ValueError(f"hidden_layer_sizes must be a list, got {self.hidden_layer_sizes!r}") from None
         check_count("inner_iterations", self.inner_iterations)
         if not self.hidden_layer_sizes:
             raise ValueError("hidden_layer_sizes must name at least one layer")

@@ -15,7 +15,6 @@ import numpy as np
 from .data import SampleSet, project, split_half
 from .divergence import (
     DivergenceConfig,
-    DivergenceEstimate,
     _held_out_divergence,
     classifier_dkl_paired,
     derange_split,
@@ -89,34 +88,27 @@ def _finish(value: float, cfg: EstimatorConfig, components=None, per_bootstrap=(
     return CmiEstimate(float(value), components, per_bootstrap)
 
 
-def _product_dkl(x: np.ndarray, other: np.ndarray, dcfg: DivergenceConfig, route: str) -> DivergenceEstimate:
-    """Divergence of the observed (x, other) pairing from a rewired one.
+def _mi_via(route: str, x, y, cfg: EstimatorConfig) -> CmiEstimate:
+    """I(X;Y) as the divergence of the observed (x, y) pairing from a rewired one.
 
     The train/eval split happens first; each part then gets its own
-    fixed-point-free repairing of the ``other`` rows against x to stand in
-    for the product of marginals.  Every underlying draw stays on a single
-    side of the fence in both pairings, so the held-out plug-in is free of
+    fixed-point-free repairing of the y rows against x to stand in for the
+    product of marginals.  Every underlying draw stays on a single side of
+    the fence in both pairings, so the held-out plug-in is free of
     memorization bias.
     """
-    joint, dx = np.hstack([x, other]), x.shape[1]
-
-    def split(s):
-        return derange_split(joint, dx, derive_seed(s, 1), derive_seed(s, 2), derive_seed(s, 4))
-
-    return _held_out_divergence(split, dcfg, 21 if route == "classifier" else 22, route)
-
-
-def _mi_once(route: str, x: np.ndarray, y: np.ndarray, cfg: EstimatorConfig, b_seed: int) -> float:
-    dcfg = dataclasses.replace(cfg.divergence, seed=derive_seed(b_seed, 2))
-    return _product_dkl(x, y, dcfg, route).value
-
-
-def _mi_via(route: str, x, y, cfg: EstimatorConfig) -> CmiEstimate:
     d = SampleSet(x, y, ())  # checks shapes, row counts and finiteness
     if d.n < 4:
         raise ValueError("need at least 4 samples")
-    b = cfg.bootstrap or 1
-    vals = [_mi_once(route, d.x, d.y, cfg, derive_seed(cfg.seed, 31, i)) for i in range(b)]
+    joint = np.hstack([d.x, d.y])
+
+    def split(s):
+        return derange_split(joint, d.dx, derive_seed(s, 1), derive_seed(s, 2), derive_seed(s, 4))
+
+    vals = []
+    for i in range(cfg.bootstrap or 1):
+        dcfg = dataclasses.replace(cfg.divergence, seed=derive_seed(derive_seed(cfg.seed, 31, i), 2))
+        vals.append(_held_out_divergence(split, dcfg, 21 if route == "classifier" else 22, route).value)
     return _finish(float(np.mean(vals)), cfg, per_bootstrap=vals)
 
 

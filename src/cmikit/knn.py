@@ -4,10 +4,10 @@ The KSG conditional estimator and the conditional resampler both work on
 Chebyshev (max-norm) distances.  Neighbor queries, k-th neighbor radii and
 ``ksg_mi``'s ball counts come from scipy's cKDTree.  The conditional
 estimator counts its z, xz and yz balls with cKDTree too in few dimensions,
-and in blocked dense distance passes once the subspaces are wide enough to
-turn tree ball queries into scans.  The worker
-count and the process map that cit, the CLI and the held-out divergence
-iterations share live here too.
+and on blocks of scipy ``cdist`` distances once the subspaces are wide
+enough to turn tree ball queries into scans.  The worker count and the
+process map that cit, the CLI and the held-out divergence iterations share
+live here too.
 """
 
 import ctypes
@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .data import SampleSet
 from .seeding import rng_from
@@ -181,14 +182,6 @@ def _tree_ball_counts(x, y, z, radii):
     return np.array([[_avg_digamma_counts(p, r) for p in subspaces] for r in radii.T])
 
 
-def _max_abs_diff(dist, rows, cols_t, tmp):
-    """Max-accumulate |rows[:, c] - cols_t[c]| over every coordinate c into ``dist``."""
-    for c in range(cols_t.shape[0]):
-        np.subtract(rows[:, c, None], cols_t[c], out=tmp)
-        np.abs(tmp, out=tmp)
-        np.maximum(dist, tmp, out=dist)
-
-
 def _count_inside(out, dist, radii, hit):
     """out[j, i] = #{l : dist[i, l] < radii[i, j]} - 1, the -1 for row i itself."""
     for j in range(radii.shape[1]):
@@ -200,27 +193,23 @@ def _ball_counts(x, y, z, radii):
     """Strict max-norm ball counts, self excluded, in the z, xz and yz subspaces.
 
     ``radii`` has one column per k; the result is (columns, 3, n) in z, xz, yz
-    order.  Blocks of _BLOCK_ROWS query rows get their distances to all n
-    points one coordinate at a time (the xz distance is max(z, x distance)),
-    dealt out to n_workers() threads; integer counts cannot depend on that.
+    order.  Blocks of _BLOCK_ROWS query rows get their Chebyshev distances to
+    all n points from cdist (the xz distance is max(z, x distance)), dealt out
+    to n_workers() threads; integer counts cannot depend on that.
     """
     n = z.shape[0]
-    xt, yt, zt = (np.ascontiguousarray(a.T) for a in (x, y, z))
     counts = np.empty((radii.shape[1], 3, n), dtype=np.int64)
 
     def work(starts):
         bufs = [np.empty((_BLOCK_ROWS, n)) for _ in range(3)] + [np.empty((_BLOCK_ROWS, n), bool)]
         for s in starts:
             e = min(s + _BLOCK_ROWS, n)
-            dz, dyz, tmp, hit = (b[: e - s] for b in bufs)
-            dz.fill(0.0)
-            _max_abs_diff(dz, z[s:e], zt, tmp)
+            dz, dw, tmp, hit = (b[: e - s] for b in bufs)
+            cdist(z[s:e], z, "chebyshev", out=dz)
             _count_inside(counts[:, 0, s:e], dz, radii[s:e], hit)
-            np.copyto(dyz, dz)
-            _max_abs_diff(dyz, y[s:e], yt, tmp)
-            _count_inside(counts[:, 2, s:e], dyz, radii[s:e], hit)
-            _max_abs_diff(dz, x[s:e], xt, tmp)  # dz now holds the xz distances
-            _count_inside(counts[:, 1, s:e], dz, radii[s:e], hit)
+            for j, other in ((1, x), (2, y)):
+                np.maximum(dz, cdist(other[s:e], other, "chebyshev", out=tmp), out=dw)
+                _count_inside(counts[:, j, s:e], dw, radii[s:e], hit)
 
     starts = range(0, n, _BLOCK_ROWS)
     w = min(n_workers(), len(starts))

@@ -110,24 +110,15 @@ ADAM_EPS = 1e-8
 @dataclass
 class AdamState:
     """Adam's first and second moments, each one flat vector laid out like the
-    classifier's parameters; ``m_w``/``m_b`` and ``v_w``/``v_b`` are per-layer
-    views into ``m`` and ``v``."""
+    classifier's parameters."""
 
     m: np.ndarray
     v: np.ndarray
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
     step: int = 0
 
     @classmethod
     def zeros(cls, arch: MlpArchitecture) -> "AdamState":
-        m = np.zeros(arch.n_params)
-        v = np.zeros(arch.n_params)
-        m_w, m_b = _layer_views(m, arch)
-        v_w, v_b = _layer_views(v, arch)
-        return cls(m, v, m_w, v_w, m_b, v_b)
+        return cls(np.zeros(arch.n_params), np.zeros(arch.n_params))
 
 
 @dataclass

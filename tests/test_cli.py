@@ -247,6 +247,21 @@ def test_estimate_rejects_unknown_config_keys(workdir, small_file, capsys):
     assert "boostrap" in json.loads(capsys.readouterr().out)["error"]["message"]
 
 
+def test_f_mine_config_file_keeps_the_critic_defaults_it_leaves_out(workdir, small_file):
+    config = workdir / "cfg_f_mine.json"
+    config.write_text(json.dumps({"bootstrap": 1, "divergence": {"train": {"epochs": 1}}}),
+                      encoding="utf-8")
+    out = workdir / "f_mine_cfg.json"
+    assert run_cli(["estimate", "--in", small_file, "--method", "f-mine-diff",
+                    "--config", config, "--out", out]) == 0
+    recorded = read_json(out)["config"]
+    critic = recorded["divergence"]
+    assert recorded["bootstrap"] == 1
+    assert critic["hidden_layer_sizes"] == [64]
+    assert critic["train"] == {"batch_size": 128, "learning_rate": 1e-4, "adam_beta1": 0.5,
+                               "adam_beta2": 0.999, "epochs": 1, "l2_coefficient": 0.0, "seed": 0}
+
+
 def _no_fit(fn, items):
     raise AssertionError("training started before the config was validated")
 
@@ -260,6 +275,7 @@ def _no_fit(fn, items):
     ({"divergence": {"inner_iterations": 1.5}}, "inner_iterations"),
     ({"generator_k": 2.5}, "generator_k"),
     ({"bootstrap": 1.5}, "bootstrap"),
+    ({"divergence": {"hidden_layer_sizes": 64}}, "hidden_layer_sizes"),
 ])
 def test_estimate_rejects_bad_counts_before_training(workdir, small_file, monkeypatch, capsys, config, field):
     monkeypatch.setattr(divergence, "process_map", _no_fit)

@@ -276,7 +276,8 @@ def test_adam_state_fresh_is_zero():
     c = mlp_init(MlpArchitecture(2, (4,)), seed=0)
     assert isinstance(c.adam, AdamState)
     assert c.adam.step == 0
-    assert all(np.all(m == 0) for m in c.adam.m_w)
+    assert c.adam.m.shape == c.adam.v.shape == c.params.shape
+    assert not np.any(c.adam.m) and not np.any(c.adam.v)
 
 
 def test_classifier_is_dataclass():
@@ -292,8 +293,6 @@ def test_parameters_are_views_into_one_flat_buffer():
     c.weights[2][3, 0] = -5.0
     assert np.count_nonzero(c.params == 7.0) == 1
     assert np.count_nonzero(c.params == -5.0) == 1
-    for views, flat in ((c.adam.m_w + c.adam.m_b, c.adam.m), (c.adam.v_w + c.adam.v_b, c.adam.v)):
-        assert all(np.shares_memory(a, flat) for a in views)
 
 
 @pytest.mark.parametrize("value", [np.nan, -np.inf])
