@@ -20,7 +20,7 @@ from .divergence import (
     derange_split,
     f_mine_defaults,
 )
-from .knn import knn_permute_apply
+from .knn import knn_permute_apply, process_map
 from .nn import TrainingDivergedError, check_count
 from .seeding import derive_seed
 
@@ -167,7 +167,8 @@ def _generated_half(d: SampleSet, cfg: EstimatorConfig, b_seed: int, generator_f
 
     ``generator_fn(pool, z_query, seed)`` may replace the nearest-neighbor
     resampler; it receives the fitting half as a SampleSet and must return
-    one y row per query row.
+    one y row per query row.  When rounds run in parallel it runs in a forked
+    pool worker: its side effects stay there, and its exceptions must pickle.
     """
     sp = split_half(d, derive_seed(b_seed, 1))
     d_class, d_gen = sp.train, sp.eval
@@ -191,24 +192,29 @@ def _generator_rounds(d: SampleSet, cfg: EstimatorConfig, generator_fn, correcte
     Each round splits the data, resamples y for one half from the other
     (``_generated_half``), and scores the real half against the resampled
     one; with ``corrected`` it also scores the resampled (y, z) rows against
-    the real ones.  The correction list is empty otherwise.
+    the real ones.  The correction list is empty otherwise.  The rounds run
+    through one ``process_map``, each whole in one forked worker, user
+    ``generator_fn`` and held-out iterations included.
     """
     if d.dz < 1:
         raise ValueError("generator path needs a conditioning block")
     if d.n < 8:
         raise ValueError("need at least 8 samples")
-    mains, corrections = [], []
-    for i in range(cfg.bootstrap or 10):
+
+    def one_round(i):
         b_seed = derive_seed(cfg.seed, 51, i)
         d_class, y_marg = _generated_half(d, cfg, b_seed, generator_fn)
         marg = np.hstack([d_class.x, y_marg, d_class.z])
         main_cfg = dataclasses.replace(cfg.divergence, seed=derive_seed(b_seed, 3))
-        mains.append(classifier_dkl_paired(project(d_class, "xyz"), marg, main_cfg).value)
-        if corrected:
-            yz_marg = np.hstack([y_marg, d_class.z])
-            corr_cfg = dataclasses.replace(cfg.divergence, seed=derive_seed(b_seed, 4))
-            corrections.append(classifier_dkl_paired(project(d_class, "yz"), yz_marg, corr_cfg).value)
-    return mains, corrections
+        main = classifier_dkl_paired(project(d_class, "xyz"), marg, main_cfg).value
+        if not corrected:
+            return main, None
+        yz_marg = np.hstack([y_marg, d_class.z])
+        corr_cfg = dataclasses.replace(cfg.divergence, seed=derive_seed(b_seed, 4))
+        return main, classifier_dkl_paired(project(d_class, "yz"), yz_marg, corr_cfg).value
+
+    rounds = process_map(one_round, range(cfg.bootstrap or 10))
+    return [m for m, _ in rounds], [c for _, c in rounds if c is not None]
 
 
 def generator_classifier_cmi(

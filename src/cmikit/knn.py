@@ -6,14 +6,15 @@ Chebyshev (max-norm) distances.  Neighbor queries, k-th neighbor radii and
 estimator counts its z, xz and yz balls with cKDTree too in few dimensions,
 and on blocks of scipy ``cdist`` distances once the subspaces are wide
 enough to turn tree ball queries into scans.  The worker count and the
-process map that cit, the CLI and the held-out divergence iterations share
-live here too.
+process map that cit, the CLI, the generator route's rounds and the held-out
+divergence iterations share live here too.
 """
 
 import ctypes
 import itertools
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
@@ -116,10 +117,12 @@ def process_map(fn, items):
     alive between calls, so none is lost across the fork.  Each worker sets
     ``CMIKIT_THREADS=1`` and caps OpenBLAS at one thread.  With one worker,
     or where the OS has no fork, the items run here in order, so a map
-    called inside a worker runs in that worker and starts no pool.
+    called inside a worker runs in that worker and starts no pool.  So do
+    they while the caller runs other threads, whose held locks a fork would
+    leave locked forever in the child.
     """
     workers = min(n_workers(), len(items))
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers <= 1 or threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_start_worker,

@@ -1,8 +1,10 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
+from cmikit import knn
 from cmikit.data import SampleSet
 from cmikit.datagen import gen_gauss_corr, gen_linear, gen_post_nonlinear_cit
 from cmikit.divergence import f_mine_defaults
@@ -358,11 +360,24 @@ def test_nonfinite_input_is_rejected_before_training(block, bad):
 # ------------------------------------------------------- thread-count independence
 
 
+def bias_corrected_with_closure_resampler(d):
+    """A generator_fn closing over a local cannot pickle; the rounds' workers get it by fork."""
+    shift = 0.3
+
+    def resample(pool, z_query, seed):
+        rows = np.random.default_rng(seed).integers(0, pool.n, size=len(z_query))
+        return pool.y[rows] + shift
+
+    return bias_corrected_cmi(d, EstimatorConfig(bootstrap=2, seed=3), generator_fn=resample)
+
+
 @pytest.mark.parametrize("estimate", [
     lambda d: ksg_cmi_sweep(d, [3, 5], seed=2),
     lambda d: generator_classifier_cmi(d, EstimatorConfig(bootstrap=2, seed=3)).value,
     lambda d: mi_diff_cmi(d, with_train(EstimatorConfig(seed=4), epochs=3)),
     lambda d: f_mine_diff_cmi(d, with_train(EstimatorConfig(divergence=f_mine_defaults(), seed=4), epochs=3)),
+    lambda d: bias_corrected_cmi(d, EstimatorConfig(bootstrap=2, seed=3)),
+    bias_corrected_with_closure_resampler,
 ])
 def test_estimates_do_not_depend_on_cmikit_threads(monkeypatch, estimate):
     d, _ = gen_linear("I", d_z=3, n=400, seed=61)
@@ -371,3 +386,72 @@ def test_estimates_do_not_depend_on_cmikit_threads(monkeypatch, estimate):
         monkeypatch.setenv("CMIKIT_THREADS", threads)
         values.append(estimate(d))
     assert values[0] == values[1]
+
+
+def test_classifier_mi_in_caller_threads_matches_a_serial_run(monkeypatch):
+    monkeypatch.setenv("CMIKIT_THREADS", "2")
+    d, _ = gen_gauss_corr(d=1, rho=0.6, n=400, seed=0)
+    cfgs = [with_train(EstimatorConfig(seed=s), epochs=3) for s in (1, 2)]
+    serial = [classifier_mi(d.x, d.y, cfg) for cfg in cfgs]
+    threaded = [None, None]
+
+    def run(i):
+        threaded[i] = classifier_mi(d.x, d.y, cfgs[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert threaded == serial
+
+
+# ------------------------------------------------------- generator-route round map
+
+
+def _count_pools(monkeypatch):
+    made = []
+    real = knn.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(knn, "ProcessPoolExecutor", counting)
+    return made
+
+
+@pytest.mark.parametrize("estimator", [generator_classifier_cmi, bias_corrected_cmi])
+def test_generator_route_starts_one_pool_per_estimate(monkeypatch, estimator):
+    monkeypatch.setenv("CMIKIT_THREADS", "2")
+    made = _count_pools(monkeypatch)
+    d, _ = gen_linear("I", d_z=2, n=200, seed=5)
+    est = estimator(d, with_train(EstimatorConfig(bootstrap=3, seed=0), epochs=2))
+    assert len(est.per_bootstrap) == 3
+    assert len(made) == 1
+
+
+def test_generator_fn_shape_error_comes_back_from_a_worker(monkeypatch):
+    monkeypatch.setenv("CMIKIT_THREADS", "2")
+    d, _ = gen_linear("I", d_z=2, n=200, seed=5)
+
+    def one_row_short(pool, z_query, seed):
+        return np.zeros((len(z_query) - 1, 1))
+
+    with pytest.raises(ValueError, match="generator_fn returned shape"):
+        generator_classifier_cmi(d, EstimatorConfig(bootstrap=2), generator_fn=one_row_short)
+
+
+@pytest.mark.parametrize("estimator", [generator_classifier_cmi, bias_corrected_cmi])
+def test_generator_route_rejects_bad_input_before_any_pool(monkeypatch, estimator):
+    monkeypatch.setenv("CMIKIT_THREADS", "2")
+    made = _count_pools(monkeypatch)
+    rng = np.random.default_rng(0)
+    no_z = SampleSet(x=rng.normal(size=(50, 1)), y=rng.normal(size=(50, 1)), z=np.empty((50, 0)))
+    with pytest.raises(ValueError, match="conditioning block"):
+        estimator(no_z)
+    tiny = SampleSet(x=rng.normal(size=(7, 1)), y=rng.normal(size=(7, 1)), z=rng.normal(size=(7, 1)))
+    with pytest.raises(ValueError, match="at least 8 samples"):
+        estimator(tiny)
+    assert made == []

@@ -1,6 +1,7 @@
 import ctypes
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -156,6 +157,19 @@ def test_process_map_keeps_order_and_runs_workers_on_one_thread(monkeypatch, thr
         assert os.getpid() not in pids and len(pids) <= int(threads)
     assert os.environ["CMIKIT_THREADS"] == threads  # only the workers were set to one thread
     assert process_map(_worker_view, []) == []
+
+
+def test_process_map_runs_in_process_while_the_caller_has_threads(monkeypatch):
+    monkeypatch.setenv("CMIKIT_THREADS", "2")
+    got = []
+    caller = threading.Thread(target=lambda: got.extend(process_map(_worker_view, range(4))))
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [item for item, _, _ in got] == list(range(4))
+    assert {pid for _, _, pid in got} == {os.getpid()}
+    assert threading.active_count() == 1
+    assert os.getpid() not in {pid for _, _, pid in process_map(_worker_view, range(4))}
 
 
 def _blas_threads(item):
