@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 
-# Conditional-independence testing as a ranking problem.  Generates a balanced
-# collection of datasets from the post-nonlinear model, half with X dependent
-# on Y given Z and half conditionally independent, scores each with the
-# difference-route CMI estimator, and reports how cleanly the scores separate
-# the two groups.
+"""Conditional-independence testing as a ranking problem.
+
+Generates a balanced collection of datasets from the post-nonlinear model,
+half with X dependent on Y given Z and half conditionally independent,
+scores each with the difference-route CMI estimator, and reports how cleanly
+the scores separate the two groups.
+"""
 
 import argparse
 import time

@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 
-# How estimators degrade as the conditioning dimension grows.  The additive
-# linear model keeps the same conditional MI at every d_z, so any drift in the
-# estimates is pure estimator error.  Nearest-neighbor counting collapses as
-# dimensions are added while the classifier difference route holds on.
+"""How estimators degrade as the conditioning dimension grows.
+
+The additive linear model keeps the same conditional MI at every d_z, so
+any drift in the estimates is pure estimator error.  Nearest-neighbor
+counting collapses as dimensions are added while the classifier difference
+route holds on.
+"""
 
 import argparse
 import time

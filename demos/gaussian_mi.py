@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 
-# Classifier-based mutual information on correlated Gaussian pairs, where the
-# exact answer is -0.5 * ln(1 - rho^2).  Sweeps the correlation, runs a few
-# seeds per point, and prints the estimate against the closed form alongside
-# a nearest-neighbor reference.
+"""Classifier-based mutual information on correlated Gaussian pairs.
+
+The exact answer is -0.5 * ln(1 - rho^2).  Sweeps the correlation, runs a
+few seeds per point, and prints the estimate against the closed form
+alongside a nearest-neighbor reference.
+"""
 
 import argparse
 import math

@@ -23,14 +23,15 @@ from . import __version__
 from .cit import benchmark_csv, reliability_curve, run_cit_benchmark
 from .data import load_csv, write_csv
 from .datagen import MODEL_KINDS, ModelSpec, dataset_metadata, generate
-from .divergence import derange_split, f_mine_defaults
+from .divergence import derange_split
 from .estimators import (
+    F_MINE_CONFIG,
     EstimatorConfig,
     f_mine_diff_cmi,
     generator_classifier_cmi,
     mi_diff_cmi,
 )
-from .knn import ksg_cmi_sweep, ksg_mi, process_map
+from .knn import ksg_cmi_sweep, ksg_mi, load_scipy, process_map
 from .nn import MlpArchitecture, predict_proba, train_binary_classifier
 from .seeding import derive_seed
 
@@ -61,7 +62,7 @@ def _from_dict(base, data, where):
 
 def _method_defaults(method) -> EstimatorConfig:
     """The config ``method`` runs with where no config file says otherwise."""
-    return EstimatorConfig(divergence=f_mine_defaults()) if method == "f-mine-diff" else EstimatorConfig()
+    return F_MINE_CONFIG if method == "f-mine-diff" else EstimatorConfig()
 
 
 def _load_estimator_config(path, seed_flag, base: EstimatorConfig = EstimatorConfig()) -> EstimatorConfig:
@@ -289,6 +290,7 @@ def cmd_sweep(args) -> int:
         cfg = dataclasses.replace(base_cfg, seed=derive_seed(seed, 72, idx))
         return _estimate(d, args.method, cfg, ks)["value"], truth.value
 
+    load_scipy()  # cells may reach ksg_cmi (--method ksg, nonlinear truth); workers inherit it
     rows = process_map(score_cell, range(len(cells)))
     lines = ["n,d_z,run,estimate,truth"]
     for (n, dz, run), (value, truth) in zip(cells, rows):

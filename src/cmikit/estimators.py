@@ -20,7 +20,7 @@ from .divergence import (
     derange_split,
     f_mine_defaults,
 )
-from .knn import knn_permute_apply, process_map
+from .knn import knn_permute_apply, load_scipy, process_map
 from .nn import TrainingDivergedError, check_count
 from .seeding import derive_seed
 
@@ -33,6 +33,7 @@ __all__ = [
     "bias_corrected_cmi",
     "default_candidates",
     "with_train",
+    "F_MINE_CONFIG",
     "f_mine_mi",
     "f_mine_diff_cmi",
     "hyperparam_select",
@@ -62,6 +63,9 @@ class EstimatorConfig:
         if self.generator not in GENERATOR_KINDS:
             raise ValueError(f"generator must be one of {GENERATOR_KINDS}")
         check_count("generator_k", self.generator_k)
+
+
+F_MINE_CONFIG = EstimatorConfig(divergence=f_mine_defaults())  # the critic routes' defaults
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,8 @@ def classifier_mi(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> CmiEstimate
     return _mi_via("classifier", x, y, cfg)
 
 
-def f_mine_mi(x, y, cfg: EstimatorConfig | None = None) -> CmiEstimate:
+def f_mine_mi(x, y, cfg: EstimatorConfig = F_MINE_CONFIG) -> CmiEstimate:
     """I(X;Y) via the critic lower bound instead of the classifier plug-in."""
-    if cfg is None:
-        cfg = EstimatorConfig(divergence=f_mine_defaults())
     return _mi_via("critic", x, y, cfg)
 
 
@@ -155,10 +157,8 @@ def mi_diff_cmi(d: SampleSet, cfg: EstimatorConfig = EstimatorConfig()) -> CmiEs
     return _diff_cmi(classifier_mi, d, cfg)
 
 
-def f_mine_diff_cmi(d: SampleSet, cfg: EstimatorConfig | None = None) -> CmiEstimate:
+def f_mine_diff_cmi(d: SampleSet, cfg: EstimatorConfig = F_MINE_CONFIG) -> CmiEstimate:
     """Difference-route CMI with the critic bound as the MI engine."""
-    if cfg is None:
-        cfg = EstimatorConfig(divergence=f_mine_defaults())
     return _diff_cmi(f_mine_mi, d, cfg)
 
 
@@ -213,6 +213,8 @@ def _generator_rounds(d: SampleSet, cfg: EstimatorConfig, generator_fn, correcte
         corr_cfg = dataclasses.replace(cfg.divergence, seed=derive_seed(b_seed, 4))
         return main, classifier_dkl_paired(project(d_class, "yz"), yz_marg, corr_cfg).value
 
+    if generator_fn is None:
+        load_scipy()  # before the fork, so the workers inherit it
     rounds = process_map(one_round, range(cfg.bootstrap or 10))
     return [m for m, _ in rounds], [c for _, c in rounds if c is not None]
 

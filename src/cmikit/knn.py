@@ -5,9 +5,11 @@ Chebyshev (max-norm) distances.  Neighbor queries, k-th neighbor radii and
 ``ksg_mi``'s ball counts come from scipy's cKDTree.  The conditional
 estimator counts its z, xz and yz balls with cKDTree too in few dimensions,
 and on blocks of scipy ``cdist`` distances once the subspaces are wide
-enough to turn tree ball queries into scans.  The worker count and the
-process map that cit, the CLI, the generator route's rounds and the held-out
-divergence iterations share live here too.
+enough to turn tree ball queries into scans.  scipy loads on the first kNN
+call (``load_scipy``), not with this module, so the classifier routes never
+pay for it.  The worker count and the process map that cit, the CLI, the
+generator route's rounds and the held-out divergence iterations share live
+here too.
 """
 
 import ctypes
@@ -18,8 +20,6 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .data import SampleSet
 from .seeding import rng_from
@@ -40,6 +40,31 @@ _TREE_MAX_DIM = 4
 JITTER_SCALE = 1e-10
 
 EULER_GAMMA = 0.5772156649015328606
+
+
+def load_scipy():
+    """Bind ``cKDTree`` and ``cdist`` on first use, keeping a name already bound.
+
+    Every function that uses either calls this first and reads the module
+    global at call time, so a class bound earlier, such as perfbench's timing
+    subclass, stays in use.  Call it before a ``process_map`` whose workers
+    run kNN code: a worker inherits only what its parent loaded, and
+    ``_one_blas_thread`` caps only the OpenBLAS libraries mapped at its start.
+    """
+    g = globals()
+    if "cKDTree" not in g or "cdist" not in g:
+        from scipy.spatial import cKDTree
+        from scipy.spatial.distance import cdist
+
+        g.setdefault("cKDTree", cKDTree)
+        g.setdefault("cdist", cdist)
+
+
+def __getattr__(name):
+    if name in ("cKDTree", "cdist"):
+        load_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def n_workers() -> int:
@@ -172,6 +197,7 @@ def _jitter(block: np.ndarray, rng) -> np.ndarray:
 
 def _avg_digamma_counts(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Strictly-inside l-infinity ball counts at per-point radii, self excluded."""
+    load_scipy()
     tree = cKDTree(points)
     counts = tree.query_ball_point(
         points, np.nextafter(radii, 0.0), p=np.inf, return_length=True, workers=n_workers()
@@ -200,6 +226,7 @@ def _ball_counts(x, y, z, radii):
     all n points from cdist (the xz distance is max(z, x distance)), dealt out
     to n_workers() threads; integer counts cannot depend on that.
     """
+    load_scipy()
     n = z.shape[0]
     counts = np.empty((radii.shape[1], 3, n), dtype=np.int64)
 
@@ -230,6 +257,7 @@ def ksg_cmi_sweep(d: SampleSet, ks, seed: int = 0) -> dict[int, float]:
         raise ValueError("ksg_cmi needs a conditioning block; use ksg_mi for d_z = 0")
     if ks[0] < 1 or ks[-1] >= d.n:
         raise ValueError(f"need 1 <= k < n, got k={ks}, n={d.n}")
+    load_scipy()
     rng = rng_from(seed, 97)
     x, y, z = _jitter(d.x, rng), _jitter(d.y, rng), _jitter(d.z, rng)
     joint = np.hstack([x, y, z])
@@ -259,6 +287,7 @@ def ksg_mi(d: SampleSet, k: int = 3, seed: int = 0) -> float:
         raise ValueError("ksg_mi expects d_z = 0; use ksg_cmi or project first")
     if not 1 <= k < d.n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={d.n}")
+    load_scipy()
     rng = rng_from(seed, 97)
     x, y = _jitter(d.x, rng), _jitter(d.y, rng)
     joint = np.hstack([x, y])
@@ -288,6 +317,7 @@ def knn_permute_apply(pool_y: np.ndarray, pool_z: np.ndarray, z_query: np.ndarra
     if k < 1:
         raise ValueError("k must be positive")
     k = min(k, pool_z.shape[0])
+    load_scipy()
     rng = rng_from(seed, 13)
     zp = _jitter(pool_z, rng_from(seed, 14))
     _, idx = cKDTree(zp).query(z_query, k=k, p=np.inf, workers=n_workers())
