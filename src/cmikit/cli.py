@@ -102,7 +102,11 @@ def _atomic_write(path, text: str) -> None:
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _write_manifest(out, command, config, seed, started, files) -> None:

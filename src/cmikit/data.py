@@ -6,6 +6,7 @@ means no conditioning).  All arrays are float64 and immutable by convention.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,11 +100,13 @@ def load_csv(path, d_x: int, d_y: int, d_z: int = 0) -> SampleSet:
 
     Header and every cell are validated (cells must be finite numbers);
     errors report the 1-based line number.  Comma-delimited, ``.`` decimal
-    separator, no quoting.
+    separator, no quoting; a leading UTF-8 byte-order mark is accepted.
+    Cells are parsed by ``float`` and packed as float64 as they are read, so
+    the loaded set holds 8 bytes a cell.
     """
     expected = _expected_header(d_x, d_y, d_z)
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
+    buf = array("d")
+    with open(path, "r", encoding="utf-8-sig") as f:
         header_line = f.readline()
         if not header_line:
             raise CsvFormatError("line 1: empty file, expected header")
@@ -128,10 +131,10 @@ def load_csv(path, d_x: int, d_y: int, d_z: int = 0) -> SampleSet:
                 raise CsvFormatError(f"line {lineno}: non-numeric cell ({e})") from None
             if not all(map(math.isfinite, row)):
                 raise CsvFormatError(f"line {lineno}: non-finite cell (nan or inf)")
-            rows.append(row)
-    if not rows:
+            buf.extend(row)
+    if not buf:
         raise CsvFormatError("no samples: data section is empty")
-    m = np.asarray(rows, dtype=np.float64)
+    m = np.frombuffer(buf).reshape(-1, len(expected))
     return SampleSet(m[:, :d_x], m[:, d_x : d_x + d_y], m[:, d_x + d_y :])
 
 

@@ -186,7 +186,7 @@ def predict_logit(c: MlpClassifier, x: np.ndarray) -> np.ndarray:
 
     At the default layer widths, small blocks keep every matrix product
     single-threaded in BLAS, and they keep the intermediates small.  The
-    result has the bits of one forward over all rows at once.
+    result has the bits of one single-threaded forward over all rows at once.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:

@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 import math
+import random
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import sys
 import pytest
 
 from cmikit import divergence
-from cmikit.cli import main
+from cmikit.cli import _sha256, main
 from cmikit.data import load_csv
 from cmikit.datagen import ModelSpec, generate
 
@@ -485,6 +486,13 @@ def test_calibrate_reruns_are_byte_identical(workdir):
 
 
 # --- shared plumbing ---------------------------------------------------------
+
+@pytest.mark.parametrize("size", [0, (1 << 20) - 1, 1 << 20, 5 << 19])
+def test_sha256_streams_the_whole_file(tmp_path, size):
+    p = tmp_path / "blob"
+    p.write_bytes(random.Random(size).randbytes(size))
+    assert _sha256(p) == hashlib.sha256(p.read_bytes()).hexdigest()
+
 
 def test_every_command_writes_one_manifest(workdir, small_file, cit_paths):
     tiny = workdir / "tiny.csv"

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -88,6 +94,53 @@ def test_csv_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(d.x, d2.x)
     np.testing.assert_array_equal(d.y, d2.y)
     np.testing.assert_array_equal(d.z, d2.z)
+
+
+def test_load_csv_accepts_utf8_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_csv(make_set(9, 1, 2, 2, seed=4), plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    d, e = load_csv(plain, 1, 2, 2), load_csv(marked, 1, 2, 2)
+    for a, b in ((d.x, e.x), (d.y, e.y), (d.z, e.z)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_load_csv_cells_have_the_bits_of_python_float(tmp_path):
+    # float accepts signed zero, subnormals, underflow to 0, padding, bare
+    # fractions and digit separators; the loaded cell must be its exact value
+    cells = ["-0", "1e-320", "4.9e-325", " 1.5", "+.5", "1_000"]
+    p = tmp_path / "d.csv"
+    p.write_text("x0,y0,z0,z1,z2,z3\n" + ",".join(cells) + "\n")
+    d = load_csv(p, 1, 1, 4)
+    loaded = np.hstack([d.x, d.y, d.z])[0]
+    assert loaded.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_load_csv_holds_under_16_bytes_a_cell(tmp_path):
+    # The load runs in a fresh interpreter, on a file written here.  Its peak
+    # is read as VmHWM, the high-water mark of that process's own memory map.
+    # ru_maxrss would not do: Linux carries the parent's peak into it across
+    # exec, and this test process has a higher peak than the load reaches.
+    n, dz = 20000, 20
+    p = tmp_path / "big.csv"
+    write_csv(make_set(n, 1, 1, dz, seed=8), p)
+    script = f"""
+        from cmikit.data import load_csv
+
+        def peak_kb():
+            with open("/proc/self/status", encoding="ascii") as f:
+                return next(int(s.split()[1]) for s in f if s.startswith("VmHWM:"))
+
+        before = peak_kb()
+        d = load_csv({str(p)!r}, 1, 1, {dz})
+        print((peak_kb() - before) * 1024 / (d.n * (2 + d.dz)))
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) < 16.0
 
 
 def test_split_half_even():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -74,31 +78,49 @@ def test_sigmoid_identity():
     np.testing.assert_allclose(predict_proba(c, x), 1.0 / (1.0 + np.exp(-logit)), rtol=1e-12)
 
 
-def _one_shot_logit(c, x):
-    # every layer over the whole matrix at once
-    h = x
-    for li, (w, b) in enumerate(zip(c.weights, c.biases)):
-        h = h @ w + b
-        if li < len(c.weights) - 1:
-            h = np.maximum(h, 0.0)
-    return h[:, 0]
+# every layer over the whole matrix at once
+ONE_SHOT_SCRIPT = """
+import sys
+import numpy as np
+f = np.load(sys.argv[1])
+layers = sum(name.startswith("w") for name in f.files)
+h = f["x"]
+for li in range(layers):
+    h = h @ f[f"w{li}"] + f[f"b{li}"]
+    if li < layers - 1:
+        h = np.maximum(h, 0.0)
+np.save(sys.argv[2], h[:, 0])
+"""
+
+
+def _one_shot_logit(c, x, tmp_path):
+    # OpenBLAS splits a large product over its threads, and on some kernels
+    # (Haswell, Zen) the split sums differ from the 64-row blocks' sums; so
+    # the reference forward runs in a fresh interpreter on one BLAS thread
+    net, out = tmp_path / "net.npz", tmp_path / "logit.npy"
+    np.savez(net, x=x, **{f"w{i}": w for i, w in enumerate(c.weights)},
+             **{f"b{i}": b for i, b in enumerate(c.biases)})
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-c", ONE_SHOT_SCRIPT, str(net), str(out)], env=env,
+                   check=True, timeout=120)
+    return np.load(out)
 
 
 @pytest.mark.parametrize("hidden", [(64, 64), (16, 8)])
 @pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 997])
-def test_blocked_predict_matches_one_shot_forward(hidden, n_rows):
+def test_blocked_predict_matches_one_shot_forward(hidden, n_rows, tmp_path):
     c = mlp_init(MlpArchitecture(22, hidden), seed=3)
     c.biases[0][:] = rng_from(4).normal(size=hidden[0])
     x = rng_from(5).normal(size=(n_rows, 22))
     logit = predict_logit(c, x)
     assert logit.shape == (n_rows,)
-    assert np.array_equal(logit, _one_shot_logit(c, x))
+    assert np.array_equal(logit, _one_shot_logit(c, x, tmp_path))
 
 
-def test_forward_logit_is_predict_logit_on_one_row():
+def test_forward_logit_is_predict_logit_on_one_row(tmp_path):
     c = mlp_init(MlpArchitecture(5, (16, 8)), seed=6)
     x = rng_from(7).normal(size=5)
-    assert predict_logit(c, x)[0] == _one_shot_logit(c, x[None, :])[0]
+    assert predict_logit(c, x)[0] == _one_shot_logit(c, x[None, :], tmp_path)[0]
     assert predict_logit(c, x).shape == (1,)
 
 
