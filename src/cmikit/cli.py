@@ -162,7 +162,7 @@ def _load_input(args):
             raise ValueError(
                 f"{name} unknown: pass --{name.replace('_', '')} or provide a metadata sidecar"
             )
-        dims[name] = int(v)
+        dims[name] = v
     return load_csv(path, dims["d_x"], dims["d_y"], dims["d_z"]), meta
 
 

@@ -6,6 +6,7 @@ means no conditioning).  All arrays are float64 and immutable by convention.
 """
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 
@@ -102,8 +103,12 @@ def load_csv(path, d_x: int, d_y: int, d_z: int = 0) -> SampleSet:
     errors report the 1-based line number.  Comma-delimited, ``.`` decimal
     separator, no quoting; a leading UTF-8 byte-order mark is accepted.
     Cells are parsed by ``float`` and packed as float64 as they are read, so
-    the loaded set holds 8 bytes a cell.
+    the loaded set holds 8 bytes a cell.  The widths must be integers, with
+    ``d_x`` and ``d_y`` at least 1 and ``d_z`` at least 0.
     """
+    for name, width, least in (("d_x", d_x, 1), ("d_y", d_y, 1), ("d_z", d_z, 0)):
+        if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < least:
+            raise ValueError(f"{name} must be an integer of at least {least}, got {width!r}")
     expected = _expected_header(d_x, d_y, d_z)
     buf = array("d")
     with open(path, "r", encoding="utf-8-sig") as f:

@@ -148,8 +148,7 @@ def _held_out_divergence(split, cfg: DivergenceConfig, namespace: int, route: st
             return f_critic_objective(critic, p_ev, q_ev), float("nan")
         arch = MlpArchitecture(p_tr.shape[1], cfg.hidden_layer_sizes)
         c = train_binary_classifier(p_tr, q_tr, arch, tcfg)
-        gp = np.clip(predict_proba(c, p_ev), cfg.clip, 1.0 - cfg.clip)
-        gq = np.clip(predict_proba(c, q_ev), cfg.clip, 1.0 - cfg.clip)
+        gp, gq = predict_proba(c, p_ev), predict_proba(c, q_ev)
         acc = float(np.sum(gp > 0.5) + np.sum(gq <= 0.5)) / (gp.size + gq.size)
         return dv_plugin(gp, gq, cfg.clip), acc
 

@@ -36,7 +36,8 @@ class TrainingDivergedError(RuntimeError):
 
 def check_count(name: str, value) -> None:
     """Reject a ``value`` that is not an integer of at least 1, naming ``name``."""
-    if not isinstance(value, numbers.Integral) or value < 1:
+    # bool is an Integral, but true is not a count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -249,19 +250,23 @@ def _backprop(c: MlpClassifier, acts, pre, dlogit, l2: float):
     return grads_w, grads_b
 
 
+def _bce_gradients(c: MlpClassifier, x: np.ndarray, y: np.ndarray, l2: float):
+    """Logits of ``x`` and the gradients of mean BCE plus L2 penalty at labels ``y``."""
+    acts, pre, logit = _forward(c, x)
+    dlogit = (_sigmoid(logit) - y) / x.shape[0]
+    return logit, *_backprop(c, acts, pre, dlogit, l2)
+
+
 def loss_and_gradients(c: MlpClassifier, x: np.ndarray, labels: np.ndarray, l2: float = 0.0):
     """Mean BCE (on logits) plus L2 weight penalty, with parameter gradients.
 
-    This is the exact objective optimized by :func:`train_binary_classifier`;
-    the logit formulation ``softplus(z) - y*z`` avoids overflow for large
-    ``|z|``.
+    The objective :func:`train_binary_classifier` optimizes, with the
+    gradients its step computes; the logit formulation ``softplus(z) - y*z``
+    avoids overflow for large ``|z|``.
     """
-    acts, pre, logit = _forward(c, x)
     y = np.asarray(labels, dtype=np.float64)
-    loss = _bce_objective(c, logit, y, l2)
-    dlogit = (_sigmoid(logit) - y) / x.shape[0]
-    grads_w, grads_b = _backprop(c, acts, pre, dlogit, l2)
-    return loss, grads_w, grads_b
+    logit, grads_w, grads_b = _bce_gradients(c, x, y, l2)
+    return _bce_objective(c, logit, y, l2), grads_w, grads_b
 
 
 def adam_step(c: MlpClassifier, grads_w, grads_b, cfg: TrainConfig) -> None:
@@ -316,7 +321,8 @@ def train_binary_classifier(
 
     Minimizes BCE + L2 over shuffled minibatches with Adam for a fixed number
     of epochs.  Classes are balanced by subsampling the larger one; the
-    minibatch order is reseeded each epoch from the run seed.
+    minibatch order is reseeded each epoch from the run seed.  A step computes
+    gradients only; divergence is checked once per epoch, on the full set.
     """
     pos, neg = _balanced_classes(pos, neg, cfg.seed)
     if pos.shape[1] != arch.input_dim:
@@ -331,11 +337,7 @@ def train_binary_classifier(
         perm = rng_from(cfg.seed, 2, epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             sl = perm[start : start + cfg.batch_size]
-            loss, gw, gb = loss_and_gradients(c, x[sl], y[sl], cfg.l2_coefficient)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch offset {start}"
-                )
+            _, gw, gb = _bce_gradients(c, x[sl], y[sl], cfg.l2_coefficient)
             adam_step(c, gw, gb, cfg)
         full = _bce_objective(c, predict_logit(c, x), y, cfg.l2_coefficient)
         _check_finite(c, full, f"end of epoch {epoch}")
@@ -350,17 +352,12 @@ def f_critic_objective(c: MlpClassifier, rows_p: np.ndarray, rows_q: np.ndarray)
     return float(np.mean(fp) - np.mean(np.exp(fq - 1.0)))
 
 
-def _f_critic_loss_and_grads(c: MlpClassifier, bp: np.ndarray, bq: np.ndarray):
-    # Minimize the negated bound: -mean_p f + mean_q exp(f - 1).
-    x = np.vstack([bp, bq])
-    acts, pre, logit = _forward(c, x)
+def _f_critic_gradients(c: MlpClassifier, bp: np.ndarray, bq: np.ndarray):
+    # Gradients of the negated bound: -mean_p f + mean_q exp(f - 1).
+    acts, pre, logit = _forward(c, np.vstack([bp, bq]))
     np_, nq = bp.shape[0], bq.shape[0]
-    fq = logit[np_:]
-    eq = np.exp(fq - 1.0)
-    loss = -float(np.mean(logit[:np_])) + float(np.mean(eq))
-    dlogit = np.concatenate([-np.ones(np_) / np_, eq / nq])
-    grads_w, grads_b = _backprop(c, acts, pre, dlogit, 0.0)
-    return loss, grads_w, grads_b
+    dlogit = np.concatenate([-np.ones(np_) / np_, np.exp(logit[np_:] - 1.0) / nq])
+    return _backprop(c, acts, pre, dlogit, 0.0)
 
 
 F_CRITIC_TRAIN_DEFAULTS = TrainConfig(
@@ -377,8 +374,8 @@ def train_f_mine_critic(
 ) -> MlpClassifier:
     """Train an unconstrained critic maximizing E_pos[f] - E_neg[exp(f-1)].
 
-    ``pos`` rows are the numerator distribution.  The objective's exponential
-    can blow up; training aborts with a diagnostic if it goes non-finite.
+    ``pos`` rows are the numerator distribution.  If the exponential blows up,
+    training aborts at the end of that epoch with a diagnostic.
     """
     pos, neg = _balanced_classes(pos, neg, cfg.seed)
     arch = MlpArchitecture(pos.shape[1], hidden_layer_sizes)
@@ -391,15 +388,8 @@ def train_f_mine_critic(
         for start in range(0, n, cfg.batch_size):
             bp = pos[perm_p[start : start + cfg.batch_size]]
             bq = neg[perm_q[start : start + cfg.batch_size]]
-            loss, gw, gb = _f_critic_loss_and_grads(c, bp, bq)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    "f-critic objective diverged to a non-finite value at "
-                    f"epoch {epoch}, batch offset {start}; lower the learning "
-                    "rate or epochs"
-                )
-            adam_step(c, gw, gb, cfg)
+            adam_step(c, *_f_critic_gradients(c, bp, bq), cfg)
         full = -f_critic_objective(c, pos, neg)
-        _check_finite(c, full, f"end of epoch {epoch}")
+        _check_finite(c, full, f"end of epoch {epoch}; lower the learning rate or epochs")
         c.epoch_losses.append(full)
     return c

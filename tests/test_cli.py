@@ -211,6 +211,29 @@ def test_estimate_without_dims_or_sidecar_fails(workdir, small_file, capsys):
     assert "sidecar" in json.loads(capsys.readouterr().out)["error"]["message"]
 
 
+WIDTH_ROWS = "".join(f"{i % 7},{i % 5},{i % 3},{i % 11}\n" for i in range(40))
+
+
+@pytest.mark.parametrize("header, flags, sidecar, field", [
+    ("x0,x1,z0,z1", ["--dx", 2, "--dy", -1, "--dz", 2], None, "d_y"),
+    ("y0,y1,z0,z1", ["--dx", 0, "--dy", 2, "--dz", 2], None, "d_x"),
+    ("x0,y0,z0,z1", [], {"d_x": 1.5, "d_y": 1, "d_z": 2}, "d_x"),
+    ("x0,y0,z0,z1", [], {"d_x": 1, "d_y": True, "d_z": 2}, "d_y"),
+])
+def test_estimate_rejects_bad_block_widths(tmp_path, capsys, header, flags, sidecar, field):
+    data = tmp_path / "widths.csv"
+    data.write_text(f"{header}\n{WIDTH_ROWS}", encoding="utf-8")
+    if sidecar is not None:
+        data.with_suffix(".json").write_text(json.dumps(sidecar), encoding="utf-8")
+    out = tmp_path / "widths_out.json"
+    rc = run_cli(["estimate", "--in", data, "--method", "ksg", *flags, "--out", out])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert rc == 1
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{field} must be an integer")
+    assert not out.exists()
+
+
 def test_estimate_bits_conversion(workdir, small_file):
     out = workdir / "bits.json"
     assert run_cli(["estimate", "--in", small_file, "--method", "ksg",
@@ -277,6 +300,8 @@ def _no_fit(fn, items):
     ({"generator_k": 2.5}, "generator_k"),
     ({"bootstrap": 1.5}, "bootstrap"),
     ({"divergence": {"hidden_layer_sizes": 64}}, "hidden_layer_sizes"),
+    ({"bootstrap": True}, "bootstrap"),
+    ({"divergence": {"train": {"epochs": True}}}, "epochs"),
 ])
 def test_estimate_rejects_bad_counts_before_training(workdir, small_file, monkeypatch, capsys, config, field):
     monkeypatch.setattr(divergence, "process_map", _no_fit)

@@ -86,6 +86,20 @@ def test_load_csv_short_row_reports_line(tmp_path):
         load_csv(p, 1, 1, 1)
 
 
+@pytest.mark.parametrize("dims, field", [
+    ((0, 1, 1), "d_x"),
+    ((1, -1, 2), "d_y"),
+    ((1, 1, -1), "d_z"),
+    ((1.0, 1, 1), "d_x"),
+    ((1, 1, True), "d_z"),
+])
+def test_load_csv_rejects_bad_block_widths(tmp_path, dims, field):
+    p = tmp_path / "d.csv"
+    p.write_text("x0,y0,z0\n1,2,3\n")
+    with pytest.raises(ValueError, match=f"^{field} must be an integer of at least"):
+        load_csv(p, *dims)
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     d = make_set(17, 2, 1, 3, seed=9)
     p = tmp_path / "rt.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from cmikit.nn import (
     TrainConfig,
     TrainingDivergedError,
     _check_finite,
+    _f_critic_gradients,
     _l2_penalty,
     adam_step,
     f_critic_objective,
@@ -139,15 +141,9 @@ def test_zero_network_loss_is_ln2():
     assert loss == np.log(2.0)
 
 
-def test_gradient_matches_finite_differences():
-    arch = MlpArchitecture(3, (8, 4))
-    c = mlp_init(arch, seed=13)
-    rng = rng_from(21)
-    x = rng.normal(size=(12, 3))
-    y = rng.integers(0, 2, size=12).astype(float)
-    l2 = 0.01
-    _, gw, gb = loss_and_gradients(c, x, y, l2)
-    h = 1e-5
+def _finite_difference_agreement(c, gw, gb, loss, h=1e-5):
+    """Share of parameters whose gradient is within 1e-4 (relative) of a
+    central difference of ``loss()``."""
     ok = total = 0
     for params, grads in ((c.weights, gw), (c.biases, gb)):
         for p, g in zip(params, grads):
@@ -156,15 +152,35 @@ def test_gradient_matches_finite_differences():
                 idx = it.multi_index
                 orig = p[idx]
                 p[idx] = orig + h
-                lp, _, _ = loss_and_gradients(c, x, y, l2)
+                lp = loss()
                 p[idx] = orig - h
-                lm, _, _ = loss_and_gradients(c, x, y, l2)
+                lm = loss()
                 p[idx] = orig
                 fd = (lp - lm) / (2 * h)
-                rel = abs(fd - g[idx]) / max(abs(g[idx]), 1e-8)
                 total += 1
-                ok += rel < 1e-4
-    assert ok / total >= 0.99
+                ok += abs(fd - g[idx]) / max(abs(g[idx]), 1e-8) < 1e-4
+    return ok / total
+
+
+def test_gradient_matches_finite_differences():
+    arch = MlpArchitecture(3, (8, 4))
+    c = mlp_init(arch, seed=13)
+    rng = rng_from(21)
+    x = rng.normal(size=(12, 3))
+    y = rng.integers(0, 2, size=12).astype(float)
+    l2 = 0.01
+    _, gw, gb = loss_and_gradients(c, x, y, l2)
+    assert _finite_difference_agreement(c, gw, gb, lambda: loss_and_gradients(c, x, y, l2)[0]) >= 0.99
+
+
+def test_critic_gradient_matches_finite_differences():
+    # unequal sides, so each side's 1/n weight is checked on its own
+    c = mlp_init(MlpArchitecture(3, (8, 4)), seed=14)
+    rng = rng_from(22)
+    bp = rng.normal(size=(7, 3))
+    bq = rng.normal(0.5, 1.0, size=(5, 3))
+    gw, gb = _f_critic_gradients(c, bp, bq)
+    assert _finite_difference_agreement(c, gw, gb, lambda: -f_critic_objective(c, bp, bq)) >= 0.99
 
 
 def test_l2_penalty_has_the_bits_of_per_layer_sums():
@@ -324,3 +340,25 @@ def test_non_finite_bias_is_caught(value):
     c.biases[0][1] = value
     with pytest.raises(TrainingDivergedError, match="non-finite parameters"):
         _check_finite(c, 0.5, "end of epoch 0")
+
+
+def _diverging_classes():
+    rng = rng_from(31)
+    return rng.normal(size=(300, 2)), rng.normal(1.0, 1.0, size=(300, 2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_classifier_fit_is_reported_at_the_end_of_its_epoch():
+    pos, neg = _diverging_classes()
+    cfg = TrainConfig(learning_rate=1e300, epochs=2, seed=2)
+    with pytest.raises(TrainingDivergedError, match="^non-finite loss at end of epoch 0$"):
+        train_binary_classifier(pos, neg, MlpArchitecture(2, (8,)), cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_critic_fit_is_reported_at_the_end_of_its_epoch_with_advice():
+    pos, neg = _diverging_classes()
+    cfg = dataclasses.replace(F_CRITIC_TRAIN_DEFAULTS, learning_rate=1e300, epochs=2)
+    with pytest.raises(TrainingDivergedError,
+                       match="^non-finite loss at end of epoch 0; lower the learning rate or epochs$"):
+        train_f_mine_critic(pos, neg, cfg)
