@@ -24,7 +24,6 @@ from .data import (
     SplitPair,
     derange_rows,
     load_csv,
-    product_shuffle,
     split_half,
     split_rows,
     write_csv,
@@ -42,12 +41,12 @@ from .datagen import (
     nonlinear_ground_truth,
 )
 from .divergence import (
+    F_MINE_DIVERGENCE,
     DivergenceConfig,
     classifier_dkl,
     classifier_dkl_paired,
     dv_plugin,
     fit_standardizer,
-    f_mine_defaults,
     f_mine_dkl,
 )
 from .estimators import (
@@ -81,6 +80,7 @@ __all__ = [
     "CsvFormatError",
     "DivergenceConfig",
     "EstimatorConfig",
+    "F_MINE_DIVERGENCE",
     "GroundTruth",
     "MODEL_KINDS",
     "MlpArchitecture",
@@ -103,7 +103,6 @@ __all__ = [
     "derange_rows",
     "derive_seed",
     "dv_plugin",
-    "f_mine_defaults",
     "f_mine_diff_cmi",
     "f_mine_dkl",
     "f_mine_mi",
@@ -126,7 +125,6 @@ __all__ = [
     "precision_recall_at_zero",
     "predict_logit",
     "predict_proba",
-    "product_shuffle",
     "reliability_curve",
     "rng_from",
     "run_cit_benchmark",

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .cit import benchmark_csv, reliability_curve, run_cit_benchmark
 from .data import load_csv, write_csv
-from .datagen import MODEL_KINDS, ModelSpec, dataset_metadata, generate
+from .datagen import MODEL_KINDS, ModelSpec, dataset_metadata, gen_gauss_corr, generate
 from .divergence import derange_split
 from .estimators import (
     F_MINE_CONFIG,
@@ -248,13 +248,12 @@ def cmd_cit(args) -> int:
     conf = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(conf, dict) or "specs" not in conf:
         raise ValueError("cit config must be a JSON object with a 'specs' list")
-    spec_fields = {f.name for f in dataclasses.fields(ModelSpec)}
     specs = []
     for i, sd in enumerate(conf["specs"]):
-        unknown = set(sd) - spec_fields
-        if unknown:
-            raise ValueError(f"specs[{i}] has unknown keys {sorted(unknown)}")
-        specs.append(ModelSpec(**sd))
+        try:
+            specs.append(ModelSpec(**sd))
+        except (TypeError, ValueError) as exc:  # an unknown key, or a value its kind refuses
+            raise ValueError(f"specs[{i}]: {exc}") from None
     cfg = _from_dict(EstimatorConfig(), conf.get("estimator", {}), "estimator")
     seed = args.seed if args.seed is not None else 0
     bench = run_cit_benchmark(specs, cfg, seed=seed)
@@ -310,16 +309,13 @@ def cmd_calibrate(args) -> int:
     started = time.time()
     seed = args.seed if args.seed is not None else 0
     cfg = _load_estimator_config(args.config, seed)
-    from .datagen import gen_gauss_corr
-
     d, truth = gen_gauss_corr(args.d, args.rho, args.n, derive_seed(seed, 81))
     joint = np.hstack([d.x, d.y])
     tr, q_tr, ev, q_ev = derange_split(
         joint, d.dx, derive_seed(seed, 82), derive_seed(seed, 83), derive_seed(seed, 84)
     )
     arch = MlpArchitecture(joint.shape[1], cfg.divergence.hidden_layer_sizes)
-    tcfg = dataclasses.replace(cfg.divergence.train, seed=derive_seed(seed, 85))
-    c = train_binary_classifier(tr, q_tr, arch, tcfg)
+    c = train_binary_classifier(tr, q_tr, arch, cfg.divergence.train, derive_seed(seed, 85))
     rows = np.vstack([ev, q_ev])
     labels = np.concatenate([np.ones(len(ev)), np.zeros(len(q_ev))])
     curve = reliability_curve(c, rows, labels, bins=args.bins)

@@ -22,7 +22,6 @@ __all__ = [
     "write_csv",
     "split_half",
     "split_rows",
-    "product_shuffle",
     "derange_rows",
     "project",
 ]
@@ -175,27 +174,17 @@ def split_half(d: SampleSet, seed: int) -> SplitPair:
     return SplitPair(train=d.take(first), eval=d.take(second))
 
 
-def _derangement(n: int, rng: np.random.Generator) -> np.ndarray:
+def derange_rows(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Rows of ``m`` reordered by a fixed-point-free permutation."""
     # Rejection sampling: resample whenever any index stays put.
+    n = m.shape[0]
     if n < 2:
         raise ValueError("no derangement exists for n < 2")
     idx = np.arange(n)
     while True:
         perm = rng.permutation(n)
         if not np.any(perm == idx):
-            return perm
-
-
-def derange_rows(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Rows of ``m`` reordered by a fixed-point-free permutation."""
-    return m[_derangement(m.shape[0], rng)]
-
-
-def product_shuffle(d: SampleSet, seed: int) -> SampleSet:
-    """Emulate the product distribution p(x)p(y,z): keep x rows in place and
-    jointly permute the (y, z) rows by a derangement."""
-    perm = _derangement(d.n, rng_from(seed))
-    return SampleSet(d.x, d.y[perm], d.z[perm])
+            return m[perm]
 
 
 def project(d: SampleSet, blocks) -> np.ndarray:

@@ -28,29 +28,41 @@ __all__ = [
     "generate",
     "dataset_metadata",
     "MODEL_KINDS",
+    "KIND_FIELDS",
 ]
 
-MODEL_KINDS = ("gauss-corr", "linear-i", "linear-ii", "nonlinear", "post-nonlinear")
+# The ModelSpec fields each kind reads besides kind, n and seed: ``generate`` reads no others.
+KIND_FIELDS = {
+    "gauss-corr": ("d_x", "d_y", "rho"),
+    "linear-i": ("d_z", "sigma_eps"),
+    "linear-ii": ("d_z", "sigma_eps"),
+    "nonlinear": ("d_z",),
+    "post-nonlinear": ("d_z", "dependent"),
+}
+MODEL_KINDS = tuple(KIND_FIELDS)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """User-facing knobs for one synthetic dataset."""
+    """User-facing knobs for one synthetic dataset; fields its kind does not read keep their defaults."""
 
     kind: str
     n: int
     d_x: int = 1
     d_y: int = 1
     d_z: int = 0
-    rho: float = 0.5          # gauss-corr
-    sigma_eps: float = 0.1    # linear models
-    dependent: bool = True    # post-nonlinear label
+    rho: float = 0.5
+    sigma_eps: float = 0.1
+    dependent: bool = True
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "kind", self.kind.strip().lower())
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
+        for name in ("d_x", "d_y", "d_z", "rho", "sigma_eps", "dependent"):
+            if name not in KIND_FIELDS[self.kind] and getattr(self, name) != getattr(ModelSpec, name):
+                raise ValueError(f"{name} is not read by model {self.kind!r}; leave it at its default")
         if self.n < 1:
             raise ValueError("n must be positive")
         if not -1.0 < self.rho < 1.0:

@@ -9,7 +9,6 @@ over independently re-split inner iterations, which share nothing but the
 input and run through ``knn.process_map``.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ __all__ = [
     "classifier_dkl",
     "classifier_dkl_paired",
     "f_mine_dkl",
-    "f_mine_defaults",
+    "F_MINE_DIVERGENCE",
 ]
 
 
@@ -67,7 +66,6 @@ class DivergenceConfig:
     clip: float = 1e-3
     hidden_layer_sizes: tuple[int, ...] = (64, 64)
     train: TrainConfig = TrainConfig()
-    seed: int = 0
 
     def __post_init__(self):
         try:
@@ -126,28 +124,29 @@ def _check_pair(dp, dq):
     return dp, dq
 
 
-def _held_out_divergence(split, cfg: DivergenceConfig, namespace: int, route: str) -> DivergenceEstimate:
+def _held_out_divergence(split, cfg: DivergenceConfig, seed: int, namespace: int, route: str) -> DivergenceEstimate:
     """Mean over ``cfg.inner_iterations`` of a divergence scored on held-out rows.
 
-    ``split(it_seed)`` returns the (p_tr, q_tr, p_ev, q_ev) rows of one inner
-    iteration.  A standardizer fit on the training rows maps all four, a
-    fresh model trains on the training rows, and the held-out rows score it:
-    the clipped plug-in and accuracy for ``route == "classifier"``, the
-    exponential-moment objective and nan accuracy for ``"critic"``.  The
-    iterations run through ``process_map``.
+    ``split(it_seed)`` returns the (p_tr, q_tr, p_ev, q_ev) rows of inner
+    iteration t, seeded from ``seed`` and t.  A standardizer fit on the training
+    rows maps all four, a fresh model trains on the training rows, and the
+    held-out rows score it: the clipped plug-in and accuracy for ``route ==
+    "classifier"``, the exponential-moment objective and nan accuracy for
+    ``"critic"``.  The iterations run through ``process_map``.
     """
+    if route == "critic" and cfg.clip != DivergenceConfig.clip:  # the critic has no probabilities
+        raise ValueError(f"clip is unused by the critic route; leave it at its default, got {cfg.clip!r}")
 
     def iteration(t):  # (value, accuracy) of inner iteration t
-        it_seed = derive_seed(cfg.seed, namespace, t)
+        it_seed = derive_seed(seed, namespace, t)
         p_tr, q_tr, p_ev, q_ev = split(it_seed)
         norm = fit_standardizer(np.vstack([p_tr, q_tr]))
         p_tr, q_tr, p_ev, q_ev = norm(p_tr), norm(q_tr), norm(p_ev), norm(q_ev)
-        tcfg = dataclasses.replace(cfg.train, seed=derive_seed(it_seed, 3))
         if route == "critic":
-            critic = train_f_mine_critic(p_tr, q_tr, tcfg, hidden_layer_sizes=cfg.hidden_layer_sizes)
+            critic = train_f_mine_critic(p_tr, q_tr, cfg.train, cfg.hidden_layer_sizes, derive_seed(it_seed, 3))
             return f_critic_objective(critic, p_ev, q_ev), float("nan")
         arch = MlpArchitecture(p_tr.shape[1], cfg.hidden_layer_sizes)
-        c = train_binary_classifier(p_tr, q_tr, arch, tcfg)
+        c = train_binary_classifier(p_tr, q_tr, arch, cfg.train, derive_seed(it_seed, 3))
         gp, gq = predict_proba(c, p_ev), predict_proba(c, q_ev)
         acc = float(np.sum(gp > 0.5) + np.sum(gq <= 0.5)) / (gp.size + gq.size)
         return dv_plugin(gp, gq, cfg.clip), acc
@@ -183,7 +182,7 @@ def derange_split(joint, dx, split_seed, train_seed, eval_seed):
     return p_tr, q_tr, p_ev, q_ev
 
 
-def classifier_dkl(dp, dq, cfg: DivergenceConfig = DivergenceConfig()) -> DivergenceEstimate:
+def classifier_dkl(dp, dq, cfg: DivergenceConfig = DivergenceConfig(), seed: int = 0) -> DivergenceEstimate:
     """KL divergence of the dp distribution from the dq distribution.
 
     Each inner iteration re-splits both sides in half, trains a fresh
@@ -191,10 +190,10 @@ def classifier_dkl(dp, dq, cfg: DivergenceConfig = DivergenceConfig()) -> Diverg
     the plug-in on the held-out halves with clipped probabilities.
     """
     dp, dq = _check_pair(dp, dq)
-    return _held_out_divergence(lambda s: _split_each(dp, dq, s), cfg, 21, "classifier")
+    return _held_out_divergence(lambda s: _split_each(dp, dq, s), cfg, seed, 21, "classifier")
 
 
-def classifier_dkl_paired(dp, dq, cfg: DivergenceConfig = DivergenceConfig()) -> DivergenceEstimate:
+def classifier_dkl_paired(dp, dq, cfg: DivergenceConfig = DivergenceConfig(), seed: int = 0) -> DivergenceEstimate:
     """Variant of ``classifier_dkl`` for aligned designs: row i of dq derives
     from row i of dp (a resampled block, a rewired pairing).
 
@@ -208,28 +207,20 @@ def classifier_dkl_paired(dp, dq, cfg: DivergenceConfig = DivergenceConfig()) ->
     if dp.shape[0] != dq.shape[0]:
         raise ValueError("paired splitting needs equal row counts")
     stacked = np.hstack([dp, dq])
-    return _held_out_divergence(lambda s: _split_paired(stacked, dp.shape[1], s), cfg, 23, "classifier")
+    return _held_out_divergence(lambda s: _split_paired(stacked, dp.shape[1], s), cfg, seed, 23, "classifier")
 
 
-def f_mine_defaults(seed: int = 0) -> DivergenceConfig:
-    """Critic-route defaults: one 64-unit hidden layer, long low-rate training."""
-    return DivergenceConfig(
-        inner_iterations=2,
-        hidden_layer_sizes=(64,),
-        train=F_CRITIC_TRAIN_DEFAULTS,
-        seed=seed,
-    )
+# Critic-route defaults: one 64-unit hidden layer, long low-rate training.
+F_MINE_DIVERGENCE = DivergenceConfig(hidden_layer_sizes=(64,), train=F_CRITIC_TRAIN_DEFAULTS)
 
 
-def f_mine_dkl(dp, dq, cfg: DivergenceConfig | None = None) -> DivergenceEstimate:
+def f_mine_dkl(dp, dq, cfg: DivergenceConfig = F_MINE_DIVERGENCE, seed: int = 0) -> DivergenceEstimate:
     """KL lower-bound estimate from a trained critic, on held-out halves.
 
     The critic maximizes E_p[f] - E_q[exp(f-1)] on the training halves; the
     same objective evaluated on the evaluation halves is the estimate.  No
-    probabilities are involved, so the clip setting is unused and the
-    accuracy diagnostic is reported as nan.
+    probabilities are involved, so ``cfg.clip`` must stay at its default and
+    the accuracy diagnostic is reported as nan.
     """
-    if cfg is None:
-        cfg = f_mine_defaults()
     dp, dq = _check_pair(dp, dq)
-    return _held_out_divergence(lambda s: _split_each(dp, dq, s), cfg, 22, "critic")
+    return _held_out_divergence(lambda s: _split_each(dp, dq, s), cfg, seed, 22, "critic")

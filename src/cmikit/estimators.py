@@ -15,10 +15,10 @@ import numpy as np
 from .data import SampleSet, project, split_half
 from .divergence import (
     DivergenceConfig,
+    F_MINE_DIVERGENCE,
     _held_out_divergence,
     classifier_dkl_paired,
     derange_split,
-    f_mine_defaults,
 )
 from .knn import knn_permute_apply, load_scipy, process_map
 from .nn import TrainingDivergedError, check_count
@@ -39,9 +39,6 @@ __all__ = [
     "hyperparam_select",
 ]
 
-GENERATOR_KINDS = ("knn-permutation",)
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Knobs shared by all estimator paths.
@@ -52,7 +49,6 @@ class EstimatorConfig:
 
     bootstrap: int | None = None
     divergence: DivergenceConfig = DivergenceConfig()
-    generator: str = "knn-permutation"
     generator_k: int = 5
     truncate_negative: bool = False
     seed: int = 0
@@ -60,12 +56,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.bootstrap is not None:  # None picks the path default
             check_count("bootstrap", self.bootstrap)
-        if self.generator not in GENERATOR_KINDS:
-            raise ValueError(f"generator must be one of {GENERATOR_KINDS}")
         check_count("generator_k", self.generator_k)
 
 
-F_MINE_CONFIG = EstimatorConfig(divergence=f_mine_defaults())  # the critic routes' defaults
+F_MINE_CONFIG = EstimatorConfig(divergence=F_MINE_DIVERGENCE)  # the critic routes' defaults
 
 
 @dataclass(frozen=True)
@@ -80,9 +74,10 @@ class CmiEstimate:
             object.__setattr__(self, "components", tuple(self.components))
 
     @property
-    def bootstrap_std(self) -> float:
+    def bootstrap_std(self) -> float | None:
+        """Sample spread of the rounds; None below two rounds, where none was measured."""
         if len(self.per_bootstrap) < 2:
-            return 0.0
+            return None
         return float(np.std(self.per_bootstrap, ddof=1))
 
 
@@ -101,6 +96,8 @@ def _mi_via(route: str, x, y, cfg: EstimatorConfig) -> CmiEstimate:
     the fence in both pairings, so the held-out plug-in is free of
     memorization bias.
     """
+    if cfg.generator_k != EstimatorConfig.generator_k:
+        raise ValueError(f"generator_k is read only by the generator route, got {cfg.generator_k!r}")
     d = SampleSet(x, y, ())  # checks shapes, row counts and finiteness
     if d.n < 4:
         raise ValueError("need at least 4 samples")
@@ -109,10 +106,9 @@ def _mi_via(route: str, x, y, cfg: EstimatorConfig) -> CmiEstimate:
     def split(s):
         return derange_split(joint, d.dx, derive_seed(s, 1), derive_seed(s, 2), derive_seed(s, 4))
 
-    vals = []
-    for i in range(cfg.bootstrap or 1):
-        dcfg = dataclasses.replace(cfg.divergence, seed=derive_seed(derive_seed(cfg.seed, 31, i), 2))
-        vals.append(_held_out_divergence(split, dcfg, 21 if route == "classifier" else 22, route).value)
+    seeds = [derive_seed(derive_seed(cfg.seed, 31, i), 2) for i in range(cfg.bootstrap or 1)]
+    namespace = 21 if route == "classifier" else 22
+    vals = [_held_out_divergence(split, cfg.divergence, s, namespace, route).value for s in seeds]
     return _finish(float(np.mean(vals)), cfg, per_bootstrap=vals)
 
 
@@ -205,13 +201,12 @@ def _generator_rounds(d: SampleSet, cfg: EstimatorConfig, generator_fn, correcte
         b_seed = derive_seed(cfg.seed, 51, i)
         d_class, y_marg = _generated_half(d, cfg, b_seed, generator_fn)
         marg = np.hstack([d_class.x, y_marg, d_class.z])
-        main_cfg = dataclasses.replace(cfg.divergence, seed=derive_seed(b_seed, 3))
-        main = classifier_dkl_paired(project(d_class, "xyz"), marg, main_cfg).value
+        main = classifier_dkl_paired(project(d_class, "xyz"), marg, cfg.divergence, derive_seed(b_seed, 3))
         if not corrected:
-            return main, None
+            return main.value, None
         yz_marg = np.hstack([y_marg, d_class.z])
-        corr_cfg = dataclasses.replace(cfg.divergence, seed=derive_seed(b_seed, 4))
-        return main, classifier_dkl_paired(project(d_class, "yz"), yz_marg, corr_cfg).value
+        corr = classifier_dkl_paired(project(d_class, "yz"), yz_marg, cfg.divergence, derive_seed(b_seed, 4))
+        return main.value, corr.value
 
     if generator_fn is None:
         load_scipy()  # before the fork, so the workers inherit it

@@ -92,7 +92,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     epochs: int = 20
     l2_coefficient: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         check_count("batch_size", self.batch_size)
@@ -221,14 +220,7 @@ def predict_proba(c: MlpClassifier, x) -> np.ndarray:
 def _l2_penalty(c: MlpClassifier, l2: float) -> float:
     if l2 == 0.0:
         return 0.0
-    # One square over the flat buffer, then one sum per layer over the weights,
-    # its prefix in layer order: the same bits as summing each w * w.
-    sq = np.square(c.params)
-    total, offset = 0.0, 0
-    for w in c.weights:
-        total += np.add.reduce(sq[offset : offset + w.size])
-        offset += w.size
-    return l2 * float(total)
+    return l2 * float(sum(np.sum(w * w) for w in c.weights))
 
 
 def _bce_objective(c: MlpClassifier, logit: np.ndarray, y: np.ndarray, l2: float) -> float:
@@ -315,26 +307,26 @@ def _check_finite(c: MlpClassifier, loss: float, where: str) -> None:
 
 
 def train_binary_classifier(
-    pos: np.ndarray, neg: np.ndarray, arch: MlpArchitecture, cfg: TrainConfig
+    pos: np.ndarray, neg: np.ndarray, arch: MlpArchitecture, cfg: TrainConfig, seed: int = 0
 ) -> MlpClassifier:
     """Train an MLP to separate ``pos`` rows (label 1) from ``neg`` rows (label 0).
 
     Minimizes BCE + L2 over shuffled minibatches with Adam for a fixed number
     of epochs.  Classes are balanced by subsampling the larger one; the
-    minibatch order is reseeded each epoch from the run seed.  A step computes
+    minibatch order is reseeded each epoch from ``seed``.  A step computes
     gradients only; divergence is checked once per epoch, on the full set.
     """
-    pos, neg = _balanced_classes(pos, neg, cfg.seed)
+    pos, neg = _balanced_classes(pos, neg, seed)
     if pos.shape[1] != arch.input_dim:
         raise ValueError(
             f"data has {pos.shape[1]} columns, architecture expects {arch.input_dim}"
         )
-    c = mlp_init(arch, derive_seed(cfg.seed, 0))
+    c = mlp_init(arch, derive_seed(seed, 0))
     x = np.vstack([pos, neg])
     y = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
     n = x.shape[0]
     for epoch in range(cfg.epochs):
-        perm = rng_from(cfg.seed, 2, epoch).permutation(n)
+        perm = rng_from(seed, 2, epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             sl = perm[start : start + cfg.batch_size]
             _, gw, gb = _bce_gradients(c, x[sl], y[sl], cfg.l2_coefficient)
@@ -371,18 +363,22 @@ def train_f_mine_critic(
     neg: np.ndarray,
     cfg: TrainConfig = F_CRITIC_TRAIN_DEFAULTS,
     hidden_layer_sizes: tuple[int, ...] = (64,),
+    seed: int = 0,
 ) -> MlpClassifier:
     """Train an unconstrained critic maximizing E_pos[f] - E_neg[exp(f-1)].
 
     ``pos`` rows are the numerator distribution.  If the exponential blows up,
-    training aborts at the end of that epoch with a diagnostic.
+    training aborts at the end of that epoch with a diagnostic.  There is no
+    weight decay, so ``cfg.l2_coefficient`` must be 0.
     """
-    pos, neg = _balanced_classes(pos, neg, cfg.seed)
+    if cfg.l2_coefficient != 0.0:
+        raise ValueError(f"l2_coefficient is unused by the critic; set it to 0, got {cfg.l2_coefficient!r}")
+    pos, neg = _balanced_classes(pos, neg, seed)
     arch = MlpArchitecture(pos.shape[1], hidden_layer_sizes)
-    c = mlp_init(arch, derive_seed(cfg.seed, 0))
+    c = mlp_init(arch, derive_seed(seed, 0))
     n = pos.shape[0]
     for epoch in range(cfg.epochs):
-        rng = rng_from(cfg.seed, 2, epoch)
+        rng = rng_from(seed, 2, epoch)
         perm_p = rng.permutation(n)
         perm_q = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):

@@ -15,7 +15,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from cmikit.cli import main as cli_main
-from cmikit.data import SampleSet, derange_rows, product_shuffle
+from cmikit.data import derange_rows
 from cmikit.datagen import gen_gauss_corr
 from cmikit.divergence import dv_plugin
 from cmikit.knn import digamma
@@ -160,13 +160,14 @@ def _dv_scale_gate():
 
 def _derangement_gate():
     n = 64
-    d = SampleSet(np.zeros((n, 1)), np.arange(n, dtype=float)[:, None],
-                  np.arange(n, dtype=float)[:, None] * 2)
-    s = product_shuffle(d, seed=5)
-    moved = np.all(s.y[:, 0] != d.y[:, 0]) and np.all(s.z[:, 0] != d.z[:, 0])
-    same_multiset = np.array_equal(np.sort(s.y[:, 0]), d.y[:, 0])
-    paired = np.array_equal(s.z[:, 0], 2 * s.y[:, 0])
-    return moved and same_multiset and paired and np.array_equal(s.x, d.x)
+    x = np.zeros((n, 1))
+    y = np.arange(n, dtype=float)[:, None]
+    yz = np.hstack([y, 2 * y])
+    prod = np.hstack([x, derange_rows(yz, rng_from(5))])  # x in place, (y, z) rows re-paired
+    moved = np.all(prod[:, 1] != yz[:, 0]) and np.all(prod[:, 2] != yz[:, 1])
+    same_multiset = np.array_equal(np.sort(prod[:, 1]), yz[:, 0])
+    paired = np.array_equal(prod[:, 2], 2 * prod[:, 1])
+    return moved and same_multiset and paired and np.array_equal(prod[:, :1], x)
 
 
 def _command_determinism_gate(tmp_path):

@@ -25,7 +25,7 @@ def trained_discriminator(seed=3):
     tr, ev = split_rows(joint, 7)
     q_tr = np.hstack([tr[:, :10], derange_rows(tr[:, 10:], rng_from(9))])
     q_ev = np.hstack([ev[:, :10], derange_rows(ev[:, 10:], rng_from(10))])
-    c = train_binary_classifier(tr, q_tr, MlpArchitecture(20), TrainConfig(seed=seed))
+    c = train_binary_classifier(tr, q_tr, MlpArchitecture(20), TrainConfig(), seed=seed)
     return c, np.vstack([ev, q_ev])
 
 

@@ -140,6 +140,20 @@ def test_gen_csv_loads_back_bit_for_bit(workdir):
     assert meta["d_z"] == 2
 
 
+@pytest.mark.parametrize("argv, field, kind", [
+    (["--model", "linear-I", "--dz", 2, "--dx", 3], "d_x", "linear-i"),
+    (["--model", "gauss-corr", "--dz", 3], "d_z", "gauss-corr"),
+    (["--model", "post-nonlinear", "--dz", 2, "--rho", 0.9, "--sigma-eps", 5], "rho", "post-nonlinear"),
+    (["--model", "linear-II", "--dz", 2, "--independent"], "dependent", "linear-ii"),
+])
+def test_gen_refuses_a_flag_its_model_ignores(workdir, capsys, argv, field, kind):
+    out = workdir / "ignored.csv"
+    assert run_cli(["gen", *argv, "--n", 50, "--out", out]) == 1
+    message = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert message.startswith(f"{field} is not read by model '{kind}'")
+    assert not out.exists()
+
+
 def test_gen_manifest_digests_match_files(small_file):
     manifest = read_json(small_file.parent / (small_file.name + ".manifest.json"))
     assert manifest["command"] == "gen"
@@ -283,7 +297,7 @@ def test_f_mine_config_file_keeps_the_critic_defaults_it_leaves_out(workdir, sma
     assert recorded["bootstrap"] == 1
     assert critic["hidden_layer_sizes"] == [64]
     assert critic["train"] == {"batch_size": 128, "learning_rate": 1e-4, "adam_beta1": 0.5,
-                               "adam_beta2": 0.999, "epochs": 1, "l2_coefficient": 0.0, "seed": 0}
+                               "adam_beta2": 0.999, "epochs": 1, "l2_coefficient": 0.0}
 
 
 def _no_fit(fn, items):
@@ -313,6 +327,85 @@ def test_estimate_rejects_bad_counts_before_training(workdir, small_file, monkey
     assert rc == 1
     assert error["type"] == "ValueError"
     assert error["message"].startswith(f"{field} must")
+
+
+@pytest.mark.parametrize("method, config, field", [
+    ("f-mine-diff", {"divergence": {"clip": 0.4}}, "clip"),
+    ("f-mine-diff", {"generator_k": 3}, "generator_k"),
+    ("ccmi", {"generator_k": 3}, "generator_k"),
+])
+def test_estimate_rejects_a_field_its_route_ignores_before_training(
+        workdir, small_file, monkeypatch, capsys, method, config, field):
+    monkeypatch.setattr(divergence, "process_map", _no_fit)
+    path = workdir / "cfg_ignored.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    rc = run_cli(["estimate", "--in", small_file, "--method", method,
+                  "--config", path, "--out", workdir / "ignored.json"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert rc == 1
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{field} is ")
+
+
+@pytest.fixture(scope="module")
+def null_file(workdir):
+    """Conditionally independent data, n = 300: one-epoch fits score it below zero."""
+    out = workdir / "null.csv"
+    assert run_cli(["gen", "--model", "post-nonlinear", "--dz", 2, "--independent",
+                    "--n", 300, "--seed", 0, "--out", out]) == 0
+    return out
+
+
+# For each estimator config leaf, a value unlike any the walk below starts from.
+OTHER_LEAF_VALUES = {
+    "bootstrap": 3, "seed": 1, "generator_k": 3, "truncate_negative": True,
+    "inner_iterations": 3, "clip": 0.4, "hidden_layer_sizes": [4], "batch_size": 16,
+    "learning_rate": 0.01, "adam_beta1": 0.7, "adam_beta2": 0.9, "epochs": 2,
+    "l2_coefficient": 0.1,
+}
+
+
+def _leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+@pytest.mark.parametrize("method, start", [
+    ("ccmi", {"divergence": {"train": {"epochs": 1, "batch_size": 32}}}),
+    ("f-mine-diff", {"divergence": {"train": {"epochs": 1, "batch_size": 32}}}),
+    ("gen-classifier", {"bootstrap": 2, "divergence": {"train": {"epochs": 1, "batch_size": 32}}}),
+])
+def test_every_config_leaf_acts(workdir, null_file, capsys, method, start):
+    """Each leaf of the echoed config, moved off its value, moves the estimate
+    or fails the run with a message that names it."""
+    def run(config):
+        path = workdir / "cfg_leaf.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        rc = run_cli(["estimate", "--in", null_file, "--method", method,
+                      "--config", path, "--out", workdir / "leaf.json"])
+        return rc, json.loads(capsys.readouterr().out)
+
+    rc, base = run(start)
+    assert rc == 0
+    assert base["value"] < 0.0  # so truncate_negative has something to act on
+    for path, value in _leaves(base["config"]):
+        name = ".".join(path)
+        assert path[-1] in OTHER_LEAF_VALUES, f"no other value for config leaf {name}"
+        other = OTHER_LEAF_VALUES[path[-1]]
+        assert other != value, name
+        config = json.loads(json.dumps(start))
+        node = config
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = other
+        rc, out = run(config)
+        if rc == 0:
+            assert out["value"] != base["value"], f"{name} = {other!r} left the estimate alone"
+        else:
+            assert rc == 1 and path[-1] in out["error"]["message"], (name, out)
 
 
 # --- cit ---------------------------------------------------------------------
@@ -348,6 +441,24 @@ def test_cit_single_class_config_fails(workdir, capsys):
     assert rc == 1
     assert "label" in json.loads(capsys.readouterr().out)["error"]["message"]
     assert not (workdir / "m1.json").exists()
+
+
+@pytest.mark.parametrize("spec_extra, estimator, parts", [
+    ({"rho": 0.9}, {}, ("specs[0]: rho is not read by model 'post-nonlinear'",)),
+    ({"colour": 1}, {}, ("specs[0]: ", "'colour'")),
+    ({}, {"generator_k": 3}, ("generator_k is read only by the generator route",)),
+])
+def test_cit_rejects_a_field_nothing_reads_before_training(
+        workdir, monkeypatch, capsys, spec_extra, estimator, parts):
+    monkeypatch.setattr(divergence, "process_map", _no_fit)
+    specs = [{"kind": "post-nonlinear", "n": 200, "d_z": 2, "dependent": i == 0, "seed": 1 + i,
+              **spec_extra} for i in range(2)]
+    config = workdir / "cit_ignored.json"
+    config.write_text(json.dumps({"specs": specs, "estimator": estimator}), encoding="utf-8")
+    rc = run_cli(["cit", "--config", config, "--out", workdir / "cit_ignored_out.json"])
+    message = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert rc == 1
+    assert message.startswith(parts[0]) and all(part in message for part in parts)
 
 
 def write_small_cit_config(path, estimator, n_specs=4):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from cmikit.datagen import (
+    KIND_FIELDS,
     GroundTruth,
     ModelSpec,
     gen_gauss_corr,
@@ -141,6 +142,36 @@ def test_spec_validation():
         ModelSpec("gauss-corr", 100, rho=1.5)
     with pytest.raises(ValueError):
         ModelSpec("linear-i", 100, d_z=1, sigma_eps=0.0)
+
+
+# A non-default value for each field that some kinds read and others do not.
+SPEC_VALUES = {"d_x": 2, "d_y": 2, "d_z": 3, "rho": 0.9, "sigma_eps": 0.5, "dependent": False}
+
+
+def _base_spec(kind, **changed):
+    widths = {} if kind == "gauss-corr" else {"d_z": 2}
+    return ModelSpec(kind, 60, seed=4, **{**widths, **changed})
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+def test_spec_refuses_a_field_its_kind_does_not_read(kind):
+    for name, value in SPEC_VALUES.items():
+        if name not in KIND_FIELDS[kind]:
+            with pytest.raises(ValueError, match=f"^{name} is not read by model '{kind}'"):
+                ModelSpec(kind, 60, seed=4, **{name: value})
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+def test_generate_reads_every_field_its_kind_lists(kind):
+    d, truth = generate(_base_spec(kind))
+    for name in KIND_FIELDS[kind]:
+        try:
+            d2, truth2 = generate(_base_spec(kind, **{name: SPEC_VALUES[name]}))
+        except ValueError as exc:  # refused for what the field says
+            assert name in str(exc)
+            continue
+        assert truth2 != truth or any(a.shape != b.shape or np.any(a != b)
+                                      for a, b in ((d.x, d2.x), (d.y, d2.y), (d.z, d2.z))), name
 
 
 def test_generate_dispatch():

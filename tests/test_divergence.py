@@ -10,8 +10,8 @@ from cmikit.divergence import (
     DivergenceEstimate,
     classifier_dkl,
     classifier_dkl_paired,
+    F_MINE_DIVERGENCE,
     dv_plugin,
-    f_mine_defaults,
     f_mine_dkl,
 )
 from cmikit.nn import TrainConfig
@@ -81,13 +81,13 @@ def test_classifier_dkl_same_distribution():
         rng = rng_from(seed, 600)
         dp = rng.normal(size=(2000, 3))
         dq = rng.normal(size=(2000, 3))
-        vals.append(classifier_dkl(dp, dq, DivergenceConfig(seed=seed)).value)
+        vals.append(classifier_dkl(dp, dq, seed=seed).value)
     assert abs(float(np.mean(vals))) < 0.05
 
 
 def test_classifier_dkl_correlated_gaussians():
     joint, prod, truth = joint_and_product(0.9, 5000, seed=9)
-    est = classifier_dkl(joint, prod, DivergenceConfig(seed=1))
+    est = classifier_dkl(joint, prod, seed=1)
     assert est.value == pytest.approx(truth, abs=0.15)
     assert est.mean_eval_accuracy > 0.5
 
@@ -96,15 +96,15 @@ def test_classifier_dkl_mean_shift():
     rng = rng_from(13, 600)
     dp = rng.normal(0.0, 1.0, size=(10000, 1))
     dq = rng.normal(1.0, 1.0, size=(10000, 1))
-    est = classifier_dkl(dp, dq, DivergenceConfig(seed=2))
+    est = classifier_dkl(dp, dq, seed=2)
     assert est.value == pytest.approx(0.5, abs=0.1)
 
 
 def test_classifier_dkl_structure_and_determinism():
     joint, prod, _ = joint_and_product(0.6, 1200, seed=4)
-    cfg = DivergenceConfig(inner_iterations=3, seed=7)
-    a = classifier_dkl(joint, prod, cfg)
-    b = classifier_dkl(joint, prod, cfg)
+    cfg = DivergenceConfig(inner_iterations=3)
+    a = classifier_dkl(joint, prod, cfg, seed=7)
+    b = classifier_dkl(joint, prod, cfg, seed=7)
     assert len(a.per_iteration) == 3
     assert a.value == pytest.approx(float(np.mean(a.per_iteration)), rel=1e-12)
     assert a.per_iteration == b.per_iteration
@@ -120,8 +120,8 @@ def test_heavy_clipping_shrinks_estimate():
     rng = rng_from(17, 600)
     dp = rng.normal(5.0, 1.0, size=(1000, 1))
     dq = rng.normal(-5.0, 1.0, size=(1000, 1))
-    wide = classifier_dkl(dp, dq, DivergenceConfig(seed=3))
-    tight = classifier_dkl(dp, dq, DivergenceConfig(clip=0.499, seed=3))
+    wide = classifier_dkl(dp, dq, seed=3)
+    tight = classifier_dkl(dp, dq, DivergenceConfig(clip=0.499), seed=3)
     assert wide.value > 1.0
     assert abs(tight.value) < 0.01
 
@@ -130,14 +130,14 @@ def test_f_mine_same_distribution():
     rng = rng_from(19, 600)
     dp = rng.normal(size=(2000, 2))
     dq = rng.normal(size=(2000, 2))
-    est = f_mine_dkl(dp, dq, f_mine_defaults(seed=1))
+    est = f_mine_dkl(dp, dq, seed=1)
     assert abs(est.value) < 0.05
     assert np.isnan(est.mean_eval_accuracy)
 
 
 def test_f_mine_correlated_gaussians():
     joint, prod, truth = joint_and_product(0.6, 5000, seed=21)
-    est = f_mine_dkl(joint, prod, f_mine_defaults(seed=2))
+    est = f_mine_dkl(joint, prod, seed=2)
     assert est.value == pytest.approx(truth, abs=0.15)
 
 
@@ -146,8 +146,8 @@ def test_f_mine_lower_bound_statistical():
     vals = []
     for seed in range(20):
         joint, prod, _ = joint_and_product(0.6, 2000, seed=700 + seed)
-        cfg = dataclasses.replace(f_mine_defaults(seed=seed), inner_iterations=1)
-        vals.append(f_mine_dkl(joint, prod, cfg).value)
+        cfg = dataclasses.replace(F_MINE_DIVERGENCE, inner_iterations=1)
+        vals.append(f_mine_dkl(joint, prod, cfg, seed=seed).value)
     assert float(np.mean(vals)) <= truth + 0.05
 
 
@@ -157,25 +157,24 @@ def test_f_mine_custom_epochs_run():
         inner_iterations=1,
         hidden_layer_sizes=(32,),
         train=TrainConfig(batch_size=128, learning_rate=1e-4, adam_beta1=0.5, epochs=30, l2_coefficient=0.0),
-        seed=3,
     )
-    est = f_mine_dkl(joint, prod, cfg)
+    est = f_mine_dkl(joint, prod, cfg, seed=3)
     assert np.isfinite(est.value)
 
 
 @pytest.mark.parametrize("estimate, cfg", [
-    (classifier_dkl, DivergenceConfig(train=TrainConfig(epochs=3), seed=5)),
-    (classifier_dkl_paired, DivergenceConfig(train=TrainConfig(epochs=3), seed=5)),
+    (classifier_dkl, DivergenceConfig(train=TrainConfig(epochs=3))),
+    (classifier_dkl_paired, DivergenceConfig(train=TrainConfig(epochs=3))),
     # 256-unit layers hand products to a second BLAS thread outside the pool
-    (classifier_dkl, DivergenceConfig(hidden_layer_sizes=(256, 256), train=TrainConfig(epochs=2), seed=5)),
-    (f_mine_dkl, dataclasses.replace(f_mine_defaults(5), train=TrainConfig(epochs=3, learning_rate=1e-4))),
+    (classifier_dkl, DivergenceConfig(hidden_layer_sizes=(256, 256), train=TrainConfig(epochs=2))),
+    (f_mine_dkl, dataclasses.replace(F_MINE_DIVERGENCE, train=TrainConfig(epochs=3, learning_rate=1e-4, l2_coefficient=0.0))),
 ])
 def test_estimates_do_not_depend_on_cmikit_threads(monkeypatch, estimate, cfg):
     joint, prod, _ = joint_and_product(0.6, 400, seed=31)
     got = []
     for threads in ("1", "2"):
         monkeypatch.setenv("CMIKIT_THREADS", threads)
-        got.append(estimate(joint, prod, cfg))
+        got.append(estimate(joint, prod, cfg, seed=5))
     one, two = got
     assert one.value == two.value
     assert one.per_iteration == two.per_iteration

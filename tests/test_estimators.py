@@ -7,7 +7,7 @@ import pytest
 from cmikit import knn
 from cmikit.data import SampleSet
 from cmikit.datagen import gen_gauss_corr, gen_linear, gen_post_nonlinear_cit
-from cmikit.divergence import f_mine_defaults
+from cmikit.divergence import F_MINE_DIVERGENCE
 from cmikit.estimators import (
     CmiEstimate,
     EstimatorConfig,
@@ -142,7 +142,7 @@ def test_generator_route_bootstrap_spread():
     one = generator_classifier_cmi(d, EstimatorConfig(bootstrap=1, seed=0))
     ten = generator_classifier_cmi(d, EstimatorConfig(bootstrap=10, seed=0))
     assert ten.bootstrap_std > 0.0
-    assert one.bootstrap_std == 0.0
+    assert one.bootstrap_std is None
     assert abs(ten.value - one.value) <= 0.2
     # the single round is literally the first of the ten
     assert one.value == ten.per_bootstrap[0]
@@ -343,8 +343,6 @@ def test_input_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(bootstrap=0)
     with pytest.raises(ValueError):
-        EstimatorConfig(generator="gan")
-    with pytest.raises(ValueError):
         EstimatorConfig(generator_k=0)
 
 
@@ -375,7 +373,7 @@ def bias_corrected_with_closure_resampler(d):
     lambda d: ksg_cmi_sweep(d, [3, 5], seed=2),
     lambda d: generator_classifier_cmi(d, EstimatorConfig(bootstrap=2, seed=3)).value,
     lambda d: mi_diff_cmi(d, with_train(EstimatorConfig(seed=4), epochs=3)),
-    lambda d: f_mine_diff_cmi(d, with_train(EstimatorConfig(divergence=f_mine_defaults(), seed=4), epochs=3)),
+    lambda d: f_mine_diff_cmi(d, with_train(EstimatorConfig(divergence=F_MINE_DIVERGENCE, seed=4), epochs=3)),
     lambda d: bias_corrected_cmi(d, EstimatorConfig(bootstrap=2, seed=3)),
     bias_corrected_with_closure_resampler,
 ])

@@ -11,13 +11,7 @@ import hashlib
 from cmikit.cit import run_cit_benchmark
 from cmikit.cli import main as cli_main
 from cmikit.datagen import ModelSpec, gen_linear
-from cmikit.divergence import (
-    DivergenceConfig,
-    classifier_dkl,
-    classifier_dkl_paired,
-    f_mine_defaults,
-    f_mine_dkl,
-)
+from cmikit.divergence import classifier_dkl, classifier_dkl_paired, f_mine_dkl
 from cmikit.estimators import (
     EstimatorConfig,
     bias_corrected_cmi,
@@ -50,7 +44,7 @@ def _linear_dz2():
 
 def test_golden_binary_classifier_fit():
     pos, neg = _classes()
-    c = train_binary_classifier(pos, neg, MlpArchitecture(3, (16, 8)), TrainConfig(epochs=4, seed=7))
+    c = train_binary_classifier(pos, neg, MlpArchitecture(3, (16, 8)), TrainConfig(epochs=4), seed=7)
     assert _parameter_digest(c) == "0b4afb8c8ef5c397786e103eae153a84e6874bedab53cf430ceaf87fa33690ab"
     assert repr(c.epoch_losses) == (
         "[0.6843926898212475, 0.6622387679751363, 0.641911115725705, 0.6227331906183482]"
@@ -60,9 +54,9 @@ def test_golden_binary_classifier_fit():
 def test_golden_f_mine_critic_fit():
     pos, neg = _classes()
     cfg = TrainConfig(
-        batch_size=32, learning_rate=1e-3, adam_beta1=0.5, epochs=5, l2_coefficient=0.0, seed=8
+        batch_size=32, learning_rate=1e-3, adam_beta1=0.5, epochs=5, l2_coefficient=0.0
     )
-    c = train_f_mine_critic(pos, neg, cfg, hidden_layer_sizes=(12,))
+    c = train_f_mine_critic(pos, neg, cfg, hidden_layer_sizes=(12,), seed=8)
     assert _parameter_digest(c) == "c8fe8da4bb7d48ac1dd58711ee0716fbb8c72a5723ecd92c4d22464bc41c85e3"
     assert repr(c.epoch_losses) == (
         "[2.5006896165049177, 2.4087740166789455, 2.3187606078654923, "
@@ -72,14 +66,14 @@ def test_golden_f_mine_critic_fit():
 
 def test_golden_classifier_dkl():
     pos, neg = _classes()
-    est = classifier_dkl(pos, neg, DivergenceConfig(seed=5))
+    est = classifier_dkl(pos, neg, seed=5)
     assert repr(est.per_iteration) == "(1.904844502051728, 1.341058155306383)"
     assert repr(est.mean_eval_accuracy) == "0.8107142857142857"
 
 
 def test_golden_f_mine_dkl():
     pos, neg = _classes()
-    est = f_mine_dkl(pos, neg, f_mine_defaults(6))
+    est = f_mine_dkl(pos, neg, seed=6)
     assert repr(est.per_iteration) == "(-0.12865991056677037, -0.5903543332084613)"
 
 
@@ -88,7 +82,7 @@ def test_golden_classifier_dkl_paired_odd_rows():
     rng = rng_from(905)
     a = rng.normal(size=(151, 2))
     b = a + 0.5 * rng.normal(size=(151, 2))
-    est = classifier_dkl_paired(a, b, DivergenceConfig(seed=7))
+    est = classifier_dkl_paired(a, b, seed=7)
     assert repr(est.per_iteration) == "(-0.1246476231142076, -0.014694316143704478)"
     assert repr(est.mean_eval_accuracy) == "0.4833333333333334"
 
@@ -97,7 +91,7 @@ def test_golden_calibrate_payload(tmp_path):
     out = tmp_path / "calibrate.json"
     assert cli_main(["calibrate", "--n", "600", "--d", "2", "--seed", "1", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "6a857a0a2f46d26db16041ca7bf12e422459100ac849d744b1340718448064e3"
+    assert digest == "73e9361c36b447e4ca386702c2d4b726e3011977c6dd540365fa1cf8941156ec"
 
 
 def test_golden_ccmi():

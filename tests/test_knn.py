@@ -305,7 +305,7 @@ def test_generator_indistinguishable_under_ci():
     joint = np.hstack([x[query], y[query], z[query]])
     marg = np.hstack([x[query], y_marg, z[query]])
     half = joint.shape[0] // 2
-    c = train_binary_classifier(joint[:half], marg[:half], MlpArchitecture(3, (64, 64)), TrainConfig(seed=2))
+    c = train_binary_classifier(joint[:half], marg[:half], MlpArchitecture(3, (64, 64)), TrainConfig(), seed=2)
     held = np.vstack([joint[half:], marg[half:]])
     labels = np.concatenate([np.ones(half), np.zeros(half)])
     acc = float(np.mean((predict_proba(c, held) > 0.5) == labels))

@@ -206,7 +206,7 @@ def test_train_separable_accuracy():
     rng = rng_from(17)
     pos = rng.normal(5.0, 1.0, size=(500, 2))
     neg = rng.normal(-5.0, 1.0, size=(500, 2))
-    c = train_binary_classifier(pos[:400], neg[:400], MlpArchitecture(2, (64, 64)), TrainConfig(seed=1))
+    c = train_binary_classifier(pos[:400], neg[:400], MlpArchitecture(2, (64, 64)), TrainConfig(), seed=1)
     held = np.vstack([pos[400:], neg[400:]])
     labels = np.concatenate([np.ones(100), np.zeros(100)])
     acc = np.mean((predict_proba(c, held) > 0.5) == labels)
@@ -218,7 +218,7 @@ def test_train_indistinguishable_classes():
     pos = rng.normal(size=(400, 3))
     neg = rng.normal(size=(400, 3))
     held = rng.normal(size=(400, 3))
-    c = train_binary_classifier(pos, neg, MlpArchitecture(3, (64, 64)), TrainConfig(seed=2))
+    c = train_binary_classifier(pos, neg, MlpArchitecture(3, (64, 64)), TrainConfig(), seed=2)
     assert 0.45 <= float(np.mean(predict_proba(c, held))) <= 0.55
 
 
@@ -227,9 +227,9 @@ def test_train_deterministic():
     pos = rng.normal(1.0, 1.0, size=(128, 2))
     neg = rng.normal(-1.0, 1.0, size=(128, 2))
     arch = MlpArchitecture(2, (16,))
-    cfg = TrainConfig(epochs=3, seed=9)
-    a = train_binary_classifier(pos, neg, arch, cfg)
-    b = train_binary_classifier(pos, neg, arch, cfg)
+    cfg = TrainConfig(epochs=3)
+    a = train_binary_classifier(pos, neg, arch, cfg, seed=9)
+    b = train_binary_classifier(pos, neg, arch, cfg, seed=9)
     for wa, wb in zip(a.weights, b.weights):
         np.testing.assert_array_equal(wa, wb)
     assert a.epoch_losses == b.epoch_losses
@@ -239,7 +239,7 @@ def test_train_loss_monotone_on_separable():
     rng = rng_from(41)
     pos = rng.normal(3.0, 0.5, size=(256, 2))
     neg = rng.normal(-3.0, 0.5, size=(256, 2))
-    c = train_binary_classifier(pos, neg, MlpArchitecture(2, (32,)), TrainConfig(seed=4))
+    c = train_binary_classifier(pos, neg, MlpArchitecture(2, (32,)), TrainConfig(), seed=4)
     losses = c.epoch_losses
     assert all(b <= a + 1e-3 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
@@ -254,7 +254,7 @@ def test_unequal_class_sizes_subsampled():
     rng = rng_from(51)
     pos = rng.normal(2.0, 1.0, size=(900, 1))
     neg = rng.normal(-2.0, 1.0, size=(300, 1))
-    c = train_binary_classifier(pos, neg, MlpArchitecture(1, (8,)), TrainConfig(seed=3))
+    c = train_binary_classifier(pos, neg, MlpArchitecture(1, (8,)), TrainConfig(), seed=3)
     # still learns the separation despite the imbalance
     assert float(np.mean(predict_proba(c, np.full((10, 1), 2.0)))) > 0.7
 
@@ -277,9 +277,9 @@ def test_f_critic_same_distribution_near_zero():
     neg = rng.normal(size=(1500, 2))
     cfg = TrainConfig(
         batch_size=128, learning_rate=1e-4, adam_beta1=0.5, adam_beta2=0.999,
-        epochs=60, l2_coefficient=0.0, seed=5,
+        epochs=60, l2_coefficient=0.0,
     )
-    c = train_f_mine_critic(pos, neg, cfg)
+    c = train_f_mine_critic(pos, neg, cfg, seed=5)
     held_p = rng.normal(size=(1500, 2))
     held_q = rng.normal(size=(1500, 2))
     assert abs(f_critic_objective(c, held_p, held_q)) < 0.1
@@ -296,9 +296,9 @@ def test_f_critic_recovers_gaussian_divergence():
     prod = np.hstack([x, derange_rows(y, rng_from(72))])
     cfg = TrainConfig(
         batch_size=128, learning_rate=1e-4, adam_beta1=0.5, adam_beta2=0.999,
-        epochs=200, l2_coefficient=0.0, seed=6,
+        epochs=200, l2_coefficient=0.0,
     )
-    c = train_f_mine_critic(joint[: n // 2], prod[: n // 2], cfg)
+    c = train_f_mine_critic(joint[: n // 2], prod[: n // 2], cfg, seed=6)
     est = f_critic_objective(c, joint[n // 2 :], prod[n // 2 :])
     assert est == pytest.approx(0.22314355, abs=0.15)
 
@@ -350,9 +350,9 @@ def _diverging_classes():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_classifier_fit_is_reported_at_the_end_of_its_epoch():
     pos, neg = _diverging_classes()
-    cfg = TrainConfig(learning_rate=1e300, epochs=2, seed=2)
+    cfg = TrainConfig(learning_rate=1e300, epochs=2)
     with pytest.raises(TrainingDivergedError, match="^non-finite loss at end of epoch 0$"):
-        train_binary_classifier(pos, neg, MlpArchitecture(2, (8,)), cfg)
+        train_binary_classifier(pos, neg, MlpArchitecture(2, (8,)), cfg, seed=2)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
