@@ -12,7 +12,7 @@ import argparse
 import time
 
 from cmikit.datagen import gen_linear
-from cmikit.estimators import EstimatorConfig, mi_diff_cmi
+from cmikit.estimators import mi_diff_cmi
 from cmikit.knn import ksg_cmi
 
 
@@ -27,7 +27,7 @@ def main():
     for dz in args.dz:
         d, truth = gen_linear("I", d_z=dz, n=args.n, seed=7)
         t0 = time.time()
-        ccmi = mi_diff_cmi(d, EstimatorConfig(seed=0)).value
+        ccmi = mi_diff_cmi(d, seed=0).value
         knn = ksg_cmi(d, k=3)
         print(f"{dz:>4} {truth.value:>8.4f} {ccmi:>8.4f} {knn:>9.4f} "
               f"{time.time() - t0:>6.1f}")

@@ -12,7 +12,7 @@ import math
 import time
 
 from cmikit.datagen import gen_gauss_corr
-from cmikit.estimators import EstimatorConfig, classifier_mi
+from cmikit.estimators import classifier_mi
 from cmikit.knn import ksg_mi
 
 
@@ -29,7 +29,7 @@ def main():
         vals = []
         for s in range(args.runs):
             d, _ = gen_gauss_corr(1, rho, args.n, seed=10 * int(rho * 10) + s)
-            vals.append(classifier_mi(d.x, d.y, EstimatorConfig(seed=s)).value)
+            vals.append(classifier_mi(d.x, d.y, seed=s).value)
         mean = sum(vals) / len(vals)
         d, _ = gen_gauss_corr(1, rho, args.n, seed=99)
         knn = ksg_mi(d, k=5)

@@ -21,7 +21,6 @@ from .cit import (
 from .data import (
     CsvFormatError,
     SampleSet,
-    SplitPair,
     derange_rows,
     load_csv,
     split_half,
@@ -88,7 +87,6 @@ __all__ = [
     "ModelSpec",
     "ReliabilityCurve",
     "SampleSet",
-    "SplitPair",
     "TrainConfig",
     "TrainingDivergedError",
     "__version__",

@@ -6,7 +6,6 @@ called dependent.  The harness reports threshold-free ranking quality
 reliability curve for inspecting classifier calibration.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,6 @@ class CitBenchmark:
     datasets: tuple[SampleSet, ...]
     labels: tuple[bool, ...]
     scores: tuple[float, ...]
-    config: EstimatorConfig
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "datasets", tuple(self.datasets))
@@ -131,10 +128,10 @@ def run_cit_benchmark(
         raise ValueError("need both labels present")
 
     def score(i):
-        return mi_diff_cmi(datasets[i], dataclasses.replace(cfg, seed=derive_seed(seed, 61, i))).value
+        return mi_diff_cmi(datasets[i], cfg, derive_seed(seed, 61, i)).value
 
     scores = process_map(score, range(len(datasets)))
-    return CitBenchmark(tuple(datasets), tuple(labels), tuple(scores), cfg, seed)
+    return CitBenchmark(tuple(datasets), tuple(labels), tuple(scores))
 
 
 def benchmark_csv(bench: CitBenchmark) -> str:

@@ -9,6 +9,7 @@ manifest with enough to reproduce the payload byte for byte.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -32,7 +33,7 @@ from .estimators import (
     mi_diff_cmi,
 )
 from .knn import ksg_cmi_sweep, ksg_mi, load_scipy, process_map
-from .nn import MlpArchitecture, predict_proba, train_binary_classifier
+from .nn import MlpArchitecture, check_type, predict_proba, train_binary_classifier
 from .seeding import derive_seed
 
 __all__ = ["main"]
@@ -48,31 +49,25 @@ def _from_dict(base, data, where):
     """``base`` with the JSON object ``data`` laid over it, nested configs included."""
     if not isinstance(data, dict):
         raise ValueError(f"{where or 'config'} must be a JSON object")
-    names = {f.name for f in dataclasses.fields(base)}
+    kinds = {f.name: f.type for f in dataclasses.fields(base)}
     kwargs = {}
     for key, value in data.items():
         here = f"{where}.{key}" if where else key
-        if key not in names:
+        if key not in kinds:
             raise ValueError(f"unknown config key {here!r}")
         if dataclasses.is_dataclass(getattr(base, key)):
             value = _from_dict(getattr(base, key), value, here)
+        check_type(here, kinds[key], value)
         kwargs[key] = value
     return dataclasses.replace(base, **kwargs)
 
 
-def _method_defaults(method) -> EstimatorConfig:
-    """The config ``method`` runs with where no config file says otherwise."""
-    return F_MINE_CONFIG if method == "f-mine-diff" else EstimatorConfig()
-
-
-def _load_estimator_config(path, seed_flag, base: EstimatorConfig = EstimatorConfig()) -> EstimatorConfig:
-    """Resolve the estimator config: ``base``, an optional JSON file over it, then --seed."""
-    cfg = base
-    if path is not None:
-        cfg = _from_dict(base, json.loads(Path(path).read_text(encoding="utf-8")), "")
-    if seed_flag is not None:
-        cfg = dataclasses.replace(cfg, seed=seed_flag)
-    return cfg
+def _load_estimator_config(path, method=None) -> EstimatorConfig:
+    """The defaults of ``method`` (calibrate's if None) with an optional JSON config file over them."""
+    if method == "ksg" and path is not None:
+        raise ValueError("--config sets estimator fields, and --method ksg reads none of them")
+    base = F_MINE_CONFIG if method == "f-mine-diff" else EstimatorConfig()
+    return base if path is None else _from_dict(base, json.loads(Path(path).read_text(encoding="utf-8")), "")
 
 
 def _jsonable(obj):
@@ -166,19 +161,19 @@ def _load_input(args):
     return load_csv(path, dims["d_x"], dims["d_y"], dims["d_z"]), meta
 
 
-def _estimate(d, method, cfg, ks):
+def _estimate(d, method, cfg, ks, seed):
     """Dispatch one dataset to one estimator; returns a payload fragment."""
     if method == "ccmi":
-        est = mi_diff_cmi(d, cfg)
+        est = mi_diff_cmi(d, cfg, seed)
     elif method == "gen-classifier":
-        est = generator_classifier_cmi(d, cfg)
+        est = generator_classifier_cmi(d, cfg, seed)
     elif method == "f-mine-diff":
-        est = f_mine_diff_cmi(d, cfg)
+        est = f_mine_diff_cmi(d, cfg, seed)
     else:
         if d.dz >= 1:
-            per_k = ksg_cmi_sweep(d, ks, seed=cfg.seed)
+            per_k = ksg_cmi_sweep(d, ks, seed=seed)
         else:
-            per_k = {k: ksg_mi(d, k=k, seed=cfg.seed) for k in ks}
+            per_k = {k: ksg_mi(d, k=k, seed=seed) for k in ks}
         # these neighbor estimates only ever bias downward, so best is largest
         return {"value": max(per_k.values()), "per_k": {str(k): v for k, v in sorted(per_k.items())}}
     return {
@@ -215,16 +210,17 @@ def cmd_gen(args) -> int:
 def cmd_estimate(args) -> int:
     started = time.time()
     d, meta = _load_input(args)
-    cfg = _load_estimator_config(args.config, args.seed, _method_defaults(args.method))
+    seed = args.seed if args.seed is not None else 0
+    cfg = _load_estimator_config(args.config, args.method)
     ks = _int_list(args.k, "--k")
-    result = _estimate(d, args.method, cfg, ks)
+    result = _estimate(d, args.method, cfg, ks, seed)
     payload = {
         "command": "estimate",
         "method": args.method,
         "input": str(args.input),
         "units": "nats",
-        "seed": cfg.seed,
-        "config": dataclasses.asdict(cfg) if args.method != "ksg" else {"k": ks, "seed": cfg.seed},
+        "seed": seed,
+        "config": dataclasses.asdict(cfg) if args.method != "ksg" else {"k": ks, "seed": seed},
         "diagnostics": {
             "n": d.n,
             "d_x": d.dx,
@@ -238,7 +234,7 @@ def cmd_estimate(args) -> int:
         payload["value_bits"] = payload["value"] / LN2
     text = _dump_json(payload)
     _atomic_write(args.out, text)
-    _write_manifest(args.out, "estimate", payload["config"], cfg.seed, started, {"result": Path(args.out)})
+    _write_manifest(args.out, "estimate", payload["config"], seed, started, {"result": Path(args.out)})
     print(text, end="")
     return 0
 
@@ -282,7 +278,7 @@ def cmd_sweep(args) -> int:
     dz_grid = sorted(set(_int_list(args.dz_grid, "--dz-grid"))) if args.dz_grid else [0]
     if args.runs < 1:
         raise ValueError("--runs must be positive")
-    base_cfg = _load_estimator_config(args.config, None, _method_defaults(args.method))
+    cfg = _load_estimator_config(args.config, args.method)
     ks = _int_list(args.k, "--k")
     cells = [(n, dz, run) for n in n_grid for dz in dz_grid for run in range(args.runs)]
     specs = [_model_spec_from_args(args, n, dz, derive_seed(seed, 71, idx))
@@ -290,8 +286,7 @@ def cmd_sweep(args) -> int:
 
     def score_cell(idx):  # (estimate, ground truth) of one cell
         d, truth = generate(specs[idx])
-        cfg = dataclasses.replace(base_cfg, seed=derive_seed(seed, 72, idx))
-        return _estimate(d, args.method, cfg, ks)["value"], truth.value
+        return _estimate(d, args.method, cfg, ks, derive_seed(seed, 72, idx))["value"], truth.value
 
     load_scipy()  # cells may reach ksg_cmi (--method ksg, nonlinear truth); workers inherit it
     rows = process_map(score_cell, range(len(cells)))
@@ -299,7 +294,8 @@ def cmd_sweep(args) -> int:
     for (n, dz, run), (value, truth) in zip(cells, rows):
         lines.append(f"{n},{dz},{run},{value!r},{truth!r}")
     _atomic_write(args.out, "\n".join(lines) + "\n")
-    config = {"estimator": dataclasses.asdict(base_cfg), "method": args.method, "k": ks,
+    estimator = {} if args.method == "ksg" else {"estimator": dataclasses.asdict(cfg)}
+    config = {**estimator, "method": args.method, "k": ks,
               "n_grid": n_grid, "dz_grid": dz_grid, "runs": args.runs, "model": args.model}
     _write_manifest(args.out, "sweep", config, seed, started, {"sweep": Path(args.out)})
     return 0
@@ -308,7 +304,11 @@ def cmd_sweep(args) -> int:
 def cmd_calibrate(args) -> int:
     started = time.time()
     seed = args.seed if args.seed is not None else 0
-    cfg = _load_estimator_config(args.config, seed)
+    cfg = _load_estimator_config(args.config)
+    for name in ("bootstrap", "generator_k", "truncate_negative", "divergence.inner_iterations", "divergence.clip"):
+        keys = name.split(".")
+        if functools.reduce(getattr, keys, cfg) != functools.reduce(getattr, keys, EstimatorConfig()):
+            raise ValueError(f"{name} is not read by calibrate, which reads only the net shape and training")
     d, truth = gen_gauss_corr(args.d, args.rho, args.n, derive_seed(seed, 81))
     joint = np.hstack([d.x, d.y])
     tr, q_tr, ev, q_ev = derange_split(

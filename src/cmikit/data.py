@@ -17,7 +17,6 @@ from .seeding import rng_from
 __all__ = [
     "CsvFormatError",
     "SampleSet",
-    "SplitPair",
     "load_csv",
     "write_csv",
     "split_half",
@@ -79,12 +78,6 @@ class SampleSet:
 
     def take(self, idx) -> "SampleSet":
         return SampleSet(self.x[idx], self.y[idx], self.z[idx])
-
-
-@dataclass(frozen=True)
-class SplitPair:
-    train: SampleSet
-    eval: SampleSet
 
 
 def _expected_header(d_x: int, d_y: int, d_z: int) -> list[str]:
@@ -168,10 +161,10 @@ def split_rows(m: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return m[first], m[second]
 
 
-def split_half(d: SampleSet, seed: int) -> SplitPair:
-    """Random 50/50 split of a SampleSet; the train side gets the odd row."""
+def split_half(d: SampleSet, seed: int) -> tuple[SampleSet, SampleSet]:
+    """Random 50/50 ``(train, eval)`` split of a SampleSet; train gets the odd row."""
     first, second = _halves(d.n, seed)
-    return SplitPair(train=d.take(first), eval=d.take(second))
+    return d.take(first), d.take(second)
 
 
 def derange_rows(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:

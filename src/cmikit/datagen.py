@@ -8,12 +8,13 @@ closed form exists, a high-sample neighbor estimate on the nonlinear model's
 sufficient statistic otherwise).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import SampleSet
 from .knn import ksg_cmi
+from .nn import check_type
 from .seeding import derive_seed, rng_from
 
 __all__ = [
@@ -60,6 +61,8 @@ class ModelSpec:
         object.__setattr__(self, "kind", self.kind.strip().lower())
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
+        for f in fields(self):
+            check_type(f.name, f.type, getattr(self, f.name))
         for name in ("d_x", "d_y", "d_z", "rho", "sigma_eps", "dependent"):
             if name not in KIND_FIELDS[self.kind] and getattr(self, name) != getattr(ModelSpec, name):
                 raise ValueError(f"{name} is not read by model {self.kind!r}; leave it at its default")

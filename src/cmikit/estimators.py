@@ -51,7 +51,6 @@ class EstimatorConfig:
     divergence: DivergenceConfig = DivergenceConfig()
     generator_k: int = 5
     truncate_negative: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.bootstrap is not None:  # None picks the path default
@@ -87,7 +86,7 @@ def _finish(value: float, cfg: EstimatorConfig, components=None, per_bootstrap=(
     return CmiEstimate(float(value), components, per_bootstrap)
 
 
-def _mi_via(route: str, x, y, cfg: EstimatorConfig) -> CmiEstimate:
+def _mi_via(route: str, x, y, cfg: EstimatorConfig, seed: int) -> CmiEstimate:
     """I(X;Y) as the divergence of the observed (x, y) pairing from a rewired one.
 
     The train/eval split happens first; each part then gets its own
@@ -106,13 +105,13 @@ def _mi_via(route: str, x, y, cfg: EstimatorConfig) -> CmiEstimate:
     def split(s):
         return derange_split(joint, d.dx, derive_seed(s, 1), derive_seed(s, 2), derive_seed(s, 4))
 
-    seeds = [derive_seed(derive_seed(cfg.seed, 31, i), 2) for i in range(cfg.bootstrap or 1)]
+    seeds = [derive_seed(derive_seed(seed, 31, i), 2) for i in range(cfg.bootstrap or 1)]
     namespace = 21 if route == "classifier" else 22
     vals = [_held_out_divergence(split, cfg.divergence, s, namespace, route).value for s in seeds]
     return _finish(float(np.mean(vals)), cfg, per_bootstrap=vals)
 
 
-def classifier_mi(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> CmiEstimate:
+def classifier_mi(x, y, cfg: EstimatorConfig = EstimatorConfig(), seed: int = 0) -> CmiEstimate:
     """I(X;Y) in nats: discriminate the joint sample from a rewired pairing.
 
     The stand-in for the product of marginals keeps x rows fixed and
@@ -120,21 +119,20 @@ def classifier_mi(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> CmiEstimate
     train/eval split, separately within each part, so nothing the
     discriminator saw in training reappears at evaluation.
     """
-    return _mi_via("classifier", x, y, cfg)
+    return _mi_via("classifier", x, y, cfg, seed)
 
 
-def f_mine_mi(x, y, cfg: EstimatorConfig = F_MINE_CONFIG) -> CmiEstimate:
+def f_mine_mi(x, y, cfg: EstimatorConfig = F_MINE_CONFIG, seed: int = 0) -> CmiEstimate:
     """I(X;Y) via the critic lower bound instead of the classifier plug-in."""
-    return _mi_via("critic", x, y, cfg)
+    return _mi_via("critic", x, y, cfg, seed)
 
 
-def _diff_cmi(mi: Callable, d: SampleSet, cfg: EstimatorConfig) -> CmiEstimate:
+def _diff_cmi(mi: Callable, d: SampleSet, cfg: EstimatorConfig, seed: int) -> CmiEstimate:
     if d.dz == 0:
-        return mi(d.x, d.y, cfg)
-    cfg_a = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, 41, 0), truncate_negative=False)
-    cfg_b = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, 41, 1), truncate_negative=False)
-    i_xyz = mi(d.x, project(d, "yz"), cfg_a)
-    i_xz = mi(d.x, d.z, cfg_b)
+        return mi(d.x, d.y, cfg, seed)
+    raw = dataclasses.replace(cfg, truncate_negative=False)
+    i_xyz = mi(d.x, project(d, "yz"), raw, derive_seed(seed, 41, 0))
+    i_xz = mi(d.x, d.z, raw, derive_seed(seed, 41, 1))
     per = tuple(a - b for a, b in zip(i_xyz.per_bootstrap, i_xz.per_bootstrap))
     return _finish(
         i_xyz.value - i_xz.value, cfg,
@@ -142,7 +140,7 @@ def _diff_cmi(mi: Callable, d: SampleSet, cfg: EstimatorConfig) -> CmiEstimate:
     )
 
 
-def mi_diff_cmi(d: SampleSet, cfg: EstimatorConfig = EstimatorConfig()) -> CmiEstimate:
+def mi_diff_cmi(d: SampleSet, cfg: EstimatorConfig = EstimatorConfig(), seed: int = 0) -> CmiEstimate:
     """I(X;Y|Z) as I(X;Y,Z) - I(X;Z), each term a classifier MI estimate.
 
     The two terms use the same hyperparameters with independent derived
@@ -150,12 +148,12 @@ def mi_diff_cmi(d: SampleSet, cfg: EstimatorConfig = EstimatorConfig()) -> CmiEs
     auditable.  With no conditioning block this reduces exactly to
     ``classifier_mi``.
     """
-    return _diff_cmi(classifier_mi, d, cfg)
+    return _diff_cmi(classifier_mi, d, cfg, seed)
 
 
-def f_mine_diff_cmi(d: SampleSet, cfg: EstimatorConfig = F_MINE_CONFIG) -> CmiEstimate:
+def f_mine_diff_cmi(d: SampleSet, cfg: EstimatorConfig = F_MINE_CONFIG, seed: int = 0) -> CmiEstimate:
     """Difference-route CMI with the critic bound as the MI engine."""
-    return _diff_cmi(f_mine_mi, d, cfg)
+    return _diff_cmi(f_mine_mi, d, cfg, seed)
 
 
 def _generated_half(d: SampleSet, cfg: EstimatorConfig, b_seed: int, generator_fn: Callable | None):
@@ -166,8 +164,7 @@ def _generated_half(d: SampleSet, cfg: EstimatorConfig, b_seed: int, generator_f
     one y row per query row.  When rounds run in parallel it runs in a forked
     pool worker: its side effects stay there, and its exceptions must pickle.
     """
-    sp = split_half(d, derive_seed(b_seed, 1))
-    d_class, d_gen = sp.train, sp.eval
+    d_class, d_gen = split_half(d, derive_seed(b_seed, 1))
     gen_seed = derive_seed(b_seed, 2)
     if generator_fn is None:
         y_marg = knn_permute_apply(d_gen.y, d_gen.z, d_class.z, k=cfg.generator_k, seed=gen_seed)
@@ -182,7 +179,7 @@ def _generated_half(d: SampleSet, cfg: EstimatorConfig, b_seed: int, generator_f
     return d_class, y_marg
 
 
-def _generator_rounds(d: SampleSet, cfg: EstimatorConfig, generator_fn, corrected: bool):
+def _generator_rounds(d: SampleSet, cfg: EstimatorConfig, seed: int, generator_fn, corrected: bool):
     """Per-round (main, correction) divergences of the generator route.
 
     Each round splits the data, resamples y for one half from the other
@@ -198,7 +195,7 @@ def _generator_rounds(d: SampleSet, cfg: EstimatorConfig, generator_fn, correcte
         raise ValueError("need at least 8 samples")
 
     def one_round(i):
-        b_seed = derive_seed(cfg.seed, 51, i)
+        b_seed = derive_seed(seed, 51, i)
         d_class, y_marg = _generated_half(d, cfg, b_seed, generator_fn)
         marg = np.hstack([d_class.x, y_marg, d_class.z])
         main = classifier_dkl_paired(project(d_class, "xyz"), marg, cfg.divergence, derive_seed(b_seed, 3))
@@ -217,6 +214,7 @@ def _generator_rounds(d: SampleSet, cfg: EstimatorConfig, generator_fn, correcte
 def generator_classifier_cmi(
     d: SampleSet,
     cfg: EstimatorConfig = EstimatorConfig(),
+    seed: int = 0,
     *,
     generator_fn: Callable | None = None,
 ) -> CmiEstimate:
@@ -227,13 +225,14 @@ def generator_classifier_cmi(
     resampled halves; the estimate is the round mean.  ``generator_fn``
     swaps in a custom conditional resampler (see ``_generated_half``).
     """
-    vals, _ = _generator_rounds(d, cfg, generator_fn, corrected=False)
+    vals, _ = _generator_rounds(d, cfg, seed, generator_fn, corrected=False)
     return _finish(float(np.mean(vals)), cfg, per_bootstrap=vals)
 
 
 def bias_corrected_cmi(
     d: SampleSet,
     cfg: EstimatorConfig = EstimatorConfig(),
+    seed: int = 0,
     *,
     generator_fn: Callable | None = None,
 ) -> CmiEstimate:
@@ -245,7 +244,7 @@ def bias_corrected_cmi(
     divergence means.  ``generator_fn`` swaps in a custom conditional
     resampler (see ``_generated_half``).
     """
-    mains, corrections = _generator_rounds(d, cfg, generator_fn, corrected=True)
+    mains, corrections = _generator_rounds(d, cfg, seed, generator_fn, corrected=True)
     vals = [m - c for m, c in zip(mains, corrections)]
     return _finish(
         float(np.mean(vals)), cfg,
@@ -254,8 +253,8 @@ def bias_corrected_cmi(
     )
 
 
-def hyperparam_select(d, candidates, estimator: Callable = mi_diff_cmi):
-    """Run the estimator under each candidate config; keep the largest value.
+def hyperparam_select(d, candidates, estimator: Callable = mi_diff_cmi, seed: int = 0):
+    """Run ``estimator(d, candidate, seed)`` for each candidate config; keep the largest value.
 
     The plug-in estimates a lower bound, so among configurations the largest
     finite estimate is the principled pick.  Returns (config, estimate).
@@ -271,7 +270,7 @@ def hyperparam_select(d, candidates, estimator: Callable = mi_diff_cmi):
     failures = []
     for cand in candidates:
         try:
-            est = estimator(d, cand)
+            est = estimator(d, cand, seed)
         except (TrainingDivergedError, ValueError) as exc:  # candidate failures are data
             failures.append(str(exc))
             continue
@@ -291,14 +290,14 @@ def with_train(cfg: EstimatorConfig, **train_kw) -> EstimatorConfig:
     return dataclasses.replace(cfg, divergence=dataclasses.replace(cfg.divergence, train=train))
 
 
-def default_candidates(seed: int = 0, bootstrap: int | None = None) -> list[EstimatorConfig]:
+def default_candidates(bootstrap: int | None = None) -> list[EstimatorConfig]:
     """Standard candidate grid for ``hyperparam_select``.
 
     Four configs spanning the regularization range: the defaults, two more
     heavily weight-decayed variants with extra epochs for smooth
     high-dimensional targets, and a longer low-decay run for sharp ones.
     """
-    base = EstimatorConfig(bootstrap=bootstrap, seed=seed)
+    base = EstimatorConfig(bootstrap=bootstrap)
     return [
         base,
         with_train(base, epochs=30, l2_coefficient=3e-3),

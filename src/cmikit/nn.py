@@ -41,6 +41,14 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def check_type(name: str, kind, value) -> None:
+    """Reject a ``value`` that a bool or float field cannot hold, naming ``name``; other kinds pass."""
+    if kind is bool and not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    if kind is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MlpArchitecture:
     """Input width plus ReLU hidden layer sizes; output is a single logit."""

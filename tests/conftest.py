@@ -70,7 +70,7 @@ def null_mi_diff_runs():
     for s in range(5):
         spec = ModelSpec(kind="post-nonlinear", n=5000, d_z=5, dependent=False, seed=250 + s)
         d, _ = generate(spec)
-        vals.append(mi_diff_cmi(d, EstimatorConfig(seed=s)).value)
+        vals.append(mi_diff_cmi(d, seed=s).value)
     return vals
 
 
@@ -83,7 +83,7 @@ def gauss_mi_runs():
         vals = []
         for s in range(5):
             d, gt = gen_gauss_corr(d=1, rho=rho, n=5000, seed=300 + 10 * i + s)
-            vals.append(classifier_mi(d.x, d.y, EstimatorConfig(seed=s)).value)
+            vals.append(classifier_mi(d.x, d.y, seed=s).value)
         out[rho] = (gt.value, vals, time.time() - t0)
     return out
 
@@ -94,7 +94,7 @@ def lower_bound_runs():
     vals = []
     for s in range(20):
         d, gt = gen_gauss_corr(d=1, rho=0.6, n=5000, seed=400 + s)
-        vals.append(classifier_mi(d.x, d.y, EstimatorConfig(seed=s)).value)
+        vals.append(classifier_mi(d.x, d.y, seed=s).value)
     return gt.value, vals
 
 
@@ -106,8 +106,9 @@ def highdim_selection():
         d, gt = gen_gauss_corr(d=10, rho=0.5, n=5000, seed=500 + s)
         _, est = hyperparam_select(
             (d.x, d.y),
-            default_candidates(seed=s),
-            estimator=lambda dd, cc: classifier_mi(dd[0], dd[1], cc),
+            default_candidates(),
+            estimator=lambda dd, cc, ss: classifier_mi(dd[0], dd[1], cc, ss),
+            seed=s,
         )
         vals.append(est.value)
     return gt.value, vals
@@ -117,7 +118,7 @@ def highdim_selection():
 def mi_diff_model1_dz20(model1_dz20):
     d, _ = model1_dz20
     t0 = time.time()
-    est = mi_diff_cmi(d, EstimatorConfig(seed=0))
+    est = mi_diff_cmi(d)
     return est, time.time() - t0
 
 
@@ -125,14 +126,14 @@ def mi_diff_model1_dz20(model1_dz20):
 def mi_diff_model2_dz20(model2_dz20):
     d, _ = model2_dz20
     t0 = time.time()
-    est = mi_diff_cmi(d, EstimatorConfig(seed=0))
+    est = mi_diff_cmi(d)
     return est, time.time() - t0
 
 
 @pytest.fixture(scope="session")
 def generator_model1_dz20(model1_dz20):
     d, _ = model1_dz20
-    return generator_classifier_cmi(d, EstimatorConfig(seed=0))
+    return generator_classifier_cmi(d)
 
 
 @pytest.fixture(scope="session")
@@ -153,5 +154,5 @@ def nonlinear_bundle():
     d, model = gen_nonlinear(d_z=10, n=5000, seed=1)
     g0 = nonlinear_ground_truth(model, oracle_n=50000, k=3, draw=0)
     g1 = nonlinear_ground_truth(model, oracle_n=50000, k=3, draw=1)
-    cfg, est = hyperparam_select(d, default_candidates(seed=0), estimator=mi_diff_cmi)
+    cfg, est = hyperparam_select(d, default_candidates(), estimator=mi_diff_cmi)
     return d, model, g0, g1, cfg, est

@@ -168,8 +168,6 @@ def test_benchmark_csv_round_trips():
         datasets=(None, None),  # type: ignore[arg-type]
         labels=(True, False),
         scores=(0.25, -0.125),
-        config=EstimatorConfig(),
-        seed=0,
     )
     text = benchmark_csv(bench)
     lines = text.strip().split("\n")
@@ -184,8 +182,6 @@ def test_benchmark_requires_finite_scores():
             datasets=(None,),  # type: ignore[arg-type]
             labels=(True,),
             scores=(float("nan"),),
-            config=EstimatorConfig(),
-            seed=0,
         )
 
 

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from cmikit import divergence
+from cmikit import cli, divergence
 from cmikit.cli import _sha256, main
 from cmikit.data import load_csv
 from cmikit.datagen import ModelSpec, generate
@@ -264,16 +264,40 @@ def test_estimate_reruns_are_byte_identical(workdir, small_file):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_estimate_seed_resolution_prefers_flag(workdir, small_file):
-    config = workdir / "cfg_seeded.json"
+def test_seed_comes_from_the_flag_alone(workdir, small_file, monkeypatch, capsys):
+    monkeypatch.setattr(divergence, "process_map", _no_fit)
+    monkeypatch.setattr(cli, "train_binary_classifier", _no_fit)
+    config, cit_config = workdir / "cfg_seeded.json", workdir / "cit_seeded.json"
     config.write_text(json.dumps({"seed": 9}), encoding="utf-8")
-    out_cfg, out_flag = workdir / "sc.json", workdir / "sf.json"
-    assert run_cli(["estimate", "--in", small_file, "--method", "ksg",
-                    "--config", config, "--out", out_cfg]) == 0
-    assert run_cli(["estimate", "--in", small_file, "--method", "ksg",
-                    "--config", config, "--seed", 2, "--out", out_flag]) == 0
-    assert read_json(out_cfg)["seed"] == 9
-    assert read_json(out_flag)["seed"] == 2
+    write_small_cit_config(cit_config, {"seed": 9})
+    out = workdir / "seeded.json"
+    for argv, key in (
+        (["estimate", "--in", small_file, "--method", "ccmi", "--config", config], "seed"),
+        (["cit", "--config", cit_config], "estimator.seed"),
+        (["sweep", "--model", "linear-i", "--method", "ccmi", "--n-grid", 100, "--dz-grid", 1,
+          "--config", config], "seed"),
+        (["calibrate", "--n", 100, "--config", config], "seed"),
+    ):
+        assert run_cli([*argv, "--seed", 2, "--out", out]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["message"] == f"unknown config key {key!r}"
+        assert not out.exists()
+    assert run_cli(["estimate", "--in", small_file, "--method", "ksg", "--seed", 2, "--out", out]) == 0
+    payload = read_json(out)
+    assert payload["seed"] == 2 and payload["config"] == {"k": [3], "seed": 2}
+
+
+def test_ksg_refuses_a_config_file(workdir, small_file, capsys):
+    config = workdir / "cfg_ksg.json"
+    config.write_text(json.dumps({"bootstrap": 3, "divergence": {"clip": 0.4}}), encoding="utf-8")
+    out = workdir / "ksg_cfg.csv"
+    for argv in (["estimate", "--in", small_file], ["sweep", "--model", "linear-i", "--n-grid", 300, "--dz-grid", 1]):
+        assert run_cli([*argv, "--method", "ksg", "--config", config, "--out", out]) == 1
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert "--config" in message and "ksg" in message
+        assert not out.exists()
+    assert run_cli(["sweep", "--model", "linear-i", "--method", "ksg", "--n-grid", 300, "--dz-grid", 1,
+                    "--out", out]) == 0
+    assert "estimator" not in read_json(workdir / "ksg_cfg.csv.manifest.json")["config"]
 
 
 def test_estimate_rejects_unknown_config_keys(workdir, small_file, capsys):
@@ -287,7 +311,8 @@ def test_estimate_rejects_unknown_config_keys(workdir, small_file, capsys):
 
 def test_f_mine_config_file_keeps_the_critic_defaults_it_leaves_out(workdir, small_file):
     config = workdir / "cfg_f_mine.json"
-    config.write_text(json.dumps({"bootstrap": 1, "divergence": {"train": {"epochs": 1}}}),
+    # an integer is a number: learning_rate takes it
+    config.write_text(json.dumps({"bootstrap": 1, "divergence": {"train": {"epochs": 1, "learning_rate": 1}}}),
                       encoding="utf-8")
     out = workdir / "f_mine_cfg.json"
     assert run_cli(["estimate", "--in", small_file, "--method", "f-mine-diff",
@@ -296,7 +321,7 @@ def test_f_mine_config_file_keeps_the_critic_defaults_it_leaves_out(workdir, sma
     critic = recorded["divergence"]
     assert recorded["bootstrap"] == 1
     assert critic["hidden_layer_sizes"] == [64]
-    assert critic["train"] == {"batch_size": 128, "learning_rate": 1e-4, "adam_beta1": 0.5,
+    assert critic["train"] == {"batch_size": 128, "learning_rate": 1, "adam_beta1": 0.5,
                                "adam_beta2": 0.999, "epochs": 1, "l2_coefficient": 0.0}
 
 
@@ -316,6 +341,9 @@ def _no_fit(fn, items):
     ({"divergence": {"hidden_layer_sizes": 64}}, "hidden_layer_sizes"),
     ({"bootstrap": True}, "bootstrap"),
     ({"divergence": {"train": {"epochs": True}}}, "epochs"),
+    ({"truncate_negative": "false"}, "truncate_negative"),
+    ({"divergence": {"clip": "0.1"}}, "divergence.clip"),
+    ({"divergence": {"train": {"learning_rate": True}}}, "divergence.train.learning_rate"),
 ])
 def test_estimate_rejects_bad_counts_before_training(workdir, small_file, monkeypatch, capsys, config, field):
     monkeypatch.setattr(divergence, "process_map", _no_fit)
@@ -358,11 +386,12 @@ def null_file(workdir):
 
 # For each estimator config leaf, a value unlike any the walk below starts from.
 OTHER_LEAF_VALUES = {
-    "bootstrap": 3, "seed": 1, "generator_k": 3, "truncate_negative": True,
+    "bootstrap": 3, "generator_k": 3, "truncate_negative": True,
     "inner_iterations": 3, "clip": 0.4, "hidden_layer_sizes": [4], "batch_size": 16,
     "learning_rate": 0.01, "adam_beta1": 0.7, "adam_beta2": 0.9, "epochs": 2,
     "l2_coefficient": 0.1,
 }
+ONE_EPOCH = {"divergence": {"train": {"epochs": 1, "batch_size": 32}}}
 
 
 def _leaves(tree, path=()):
@@ -373,25 +402,61 @@ def _leaves(tree, path=()):
             yield path + (key,), value
 
 
-@pytest.mark.parametrize("method, start", [
-    ("ccmi", {"divergence": {"train": {"epochs": 1, "batch_size": 32}}}),
-    ("f-mine-diff", {"divergence": {"train": {"epochs": 1, "batch_size": 32}}}),
-    ("gen-classifier", {"bootstrap": 2, "divergence": {"train": {"epochs": 1, "batch_size": 32}}}),
-])
-def test_every_config_leaf_acts(workdir, null_file, capsys, method, start):
-    """Each leaf of the echoed config, moved off its value, moves the estimate
-    or fails the run with a message that names it."""
-    def run(config):
-        path = workdir / "cfg_leaf.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        rc = run_cli(["estimate", "--in", null_file, "--method", method,
-                      "--config", path, "--out", workdir / "leaf.json"])
-        return rc, json.loads(capsys.readouterr().out)
+def _run_with_config(workdir, capsys, null_file, target, config):
+    """Run ``target`` (an estimate method, ``cit``, ``sweep`` or ``calibrate``) under ``config``.
 
-    rc, base = run(start)
-    assert rc == 0
-    assert base["value"] < 0.0  # so truncate_negative has something to act on
-    for path, value in _leaves(base["config"]):
+    Returns (exit code, the figures a config leaf should move, the echoed
+    estimator config), or (exit code, error object, None) when the run
+    fails.  The data sets are small, so one-epoch fits score some of them
+    below zero, where truncate_negative acts.
+    """
+    path, out = workdir / "cfg_leaf.json", workdir / "leaf.out"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    if target == "cit":
+        write_small_cit_config(path, config, n_specs=2, first_seed=0)
+        argv = ["cit", "--config", path, "--scores", workdir / "leaf_scores.csv"]
+    elif target == "sweep":
+        argv = ["sweep", "--model", "post-nonlinear", "--method", "ccmi", "--n-grid", 300,
+                "--dz-grid", 2, "--independent", "--config", path]
+    elif target == "calibrate":
+        argv = ["calibrate", "--n", 600, "--d", 2, "--config", path]
+    else:
+        argv = ["estimate", "--in", null_file, "--method", target, "--config", path]
+    rc = run_cli([*argv, "--out", out])
+    printed = capsys.readouterr().out
+    if rc != 0:
+        return rc, json.loads(printed)["error"], None
+    if target == "sweep":
+        with open(out, newline="") as f:
+            figures = tuple(float(row["estimate"]) for row in csv.DictReader(f))
+        return rc, figures, read_json(workdir / "leaf.out.manifest.json")["config"]["estimator"]
+    payload = read_json(out)
+    if target == "cit":
+        with open(workdir / "leaf_scores.csv", newline="") as f:
+            figures = tuple(float(row["cmi_score"]) for row in csv.DictReader(f))
+    elif target == "calibrate":
+        figures = (payload["accuracy"], *payload["mean_predicted"])
+    else:
+        figures = (payload["value"],)
+    return rc, figures, payload["config"]
+
+
+@pytest.mark.parametrize("target, start", [
+    ("ccmi", ONE_EPOCH),
+    ("f-mine-diff", ONE_EPOCH),
+    ("gen-classifier", {"bootstrap": 2, **ONE_EPOCH}),
+    ("cit", ONE_EPOCH),
+    ("sweep", ONE_EPOCH),
+    ("calibrate", ONE_EPOCH),
+])
+def test_every_config_leaf_acts(workdir, null_file, capsys, target, start):
+    """Each leaf of the echoed config, moved off its value, moves the output
+    or fails the run with a message that names it."""
+    rc, base, echoed = _run_with_config(workdir, capsys, null_file, target, start)
+    assert rc == 0, base
+    # so truncate_negative has something to act on; calibrate refuses it
+    assert target == "calibrate" or min(base) < 0.0
+    for path, value in _leaves(echoed):
         name = ".".join(path)
         assert path[-1] in OTHER_LEAF_VALUES, f"no other value for config leaf {name}"
         other = OTHER_LEAF_VALUES[path[-1]]
@@ -401,11 +466,29 @@ def test_every_config_leaf_acts(workdir, null_file, capsys, method, start):
         for key in path[:-1]:
             node = node.setdefault(key, {})
         node[path[-1]] = other
-        rc, out = run(config)
+        rc, out, _ = _run_with_config(workdir, capsys, null_file, target, config)
         if rc == 0:
-            assert out["value"] != base["value"], f"{name} = {other!r} left the estimate alone"
+            assert out != base, f"{name} = {other!r} left the output alone"
         else:
-            assert rc == 1 and path[-1] in out["error"]["message"], (name, out)
+            assert rc == 1 and path[-1] in out["message"], (name, out)
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"bootstrap": 2}, "bootstrap"),
+    ({"generator_k": 3}, "generator_k"),
+    ({"truncate_negative": True}, "truncate_negative"),
+    ({"divergence": {"inner_iterations": 3}}, "divergence.inner_iterations"),
+    ({"divergence": {"clip": 0.4}}, "divergence.clip"),
+])
+def test_calibrate_refuses_a_field_it_does_not_read_before_training(workdir, monkeypatch, capsys, config, field):
+    monkeypatch.setattr(cli, "train_binary_classifier", _no_fit)
+    path = workdir / "cal_ignored.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = workdir / "cal_ignored_out.json"
+    assert run_cli(["calibrate", "--n", 600, "--d", 2, "--config", path, "--out", out]) == 1
+    message = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert message.startswith(f"{field} is not read by calibrate")
+    assert not out.exists()
 
 
 # --- cit ---------------------------------------------------------------------
@@ -447,6 +530,7 @@ def test_cit_single_class_config_fails(workdir, capsys):
     ({"rho": 0.9}, {}, ("specs[0]: rho is not read by model 'post-nonlinear'",)),
     ({"colour": 1}, {}, ("specs[0]: ", "'colour'")),
     ({}, {"generator_k": 3}, ("generator_k is read only by the generator route",)),
+    ({"dependent": "false"}, {}, ("specs[0]: dependent must be true or false",)),
 ])
 def test_cit_rejects_a_field_nothing_reads_before_training(
         workdir, monkeypatch, capsys, spec_extra, estimator, parts):
@@ -461,9 +545,9 @@ def test_cit_rejects_a_field_nothing_reads_before_training(
     assert message.startswith(parts[0]) and all(part in message for part in parts)
 
 
-def write_small_cit_config(path, estimator, n_specs=4):
+def write_small_cit_config(path, estimator, n_specs=4, first_seed=900):
     specs = [{"kind": "post-nonlinear", "n": 300, "d_z": 2,
-              "dependent": i % 2 == 0, "seed": 900 + i} for i in range(n_specs)]
+              "dependent": i % 2 == 0, "seed": first_seed + i} for i in range(n_specs)]
     path.write_text(json.dumps({"specs": specs, "estimator": estimator}), encoding="utf-8")
     return path
 

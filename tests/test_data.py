@@ -157,19 +157,18 @@ def test_load_csv_holds_under_16_bytes_a_cell(tmp_path):
 
 
 def test_split_half_even():
-    sp = split_half(make_set(10), seed=1)
-    assert sp.train.n == 5 and sp.eval.n == 5
+    train, ev = split_half(make_set(10), seed=1)
+    assert train.n == 5 and ev.n == 5
 
 
 def test_split_half_odd_favors_train():
-    sp = split_half(make_set(11), seed=1)
-    assert sp.train.n == 6 and sp.eval.n == 5
+    train, ev = split_half(make_set(11), seed=1)
+    assert train.n == 6 and ev.n == 5
 
 
 def test_split_half_partition():
     d = make_set(21)
-    sp = split_half(d, seed=3)
-    joined = np.vstack([np.hstack([s.x, s.y, s.z]) for s in (sp.train, sp.eval)])
+    joined = np.vstack([np.hstack([s.x, s.y, s.z]) for s in split_half(d, seed=3)])
     full = np.hstack([d.x, d.y, d.z])
     # every input row appears exactly once across the two parts
     order = np.lexsort(joined.T)
@@ -179,11 +178,11 @@ def test_split_half_partition():
 
 def test_split_half_deterministic():
     d = make_set(20)
-    a = split_half(d, seed=5)
-    b = split_half(d, seed=5)
-    np.testing.assert_array_equal(a.train.x, b.train.x)
-    c = split_half(d, seed=6)
-    assert np.any(a.train.x != c.train.x)
+    a, _ = split_half(d, seed=5)
+    b, _ = split_half(d, seed=5)
+    np.testing.assert_array_equal(a.x, b.x)
+    c, _ = split_half(d, seed=6)
+    assert np.any(a.x != c.x)
 
 
 def test_split_half_rejects_tiny():

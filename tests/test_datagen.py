@@ -174,6 +174,20 @@ def test_generate_reads_every_field_its_kind_lists(kind):
                                       for a, b in ((d.x, d2.x), (d.y, d2.y), (d.z, d2.z))), name
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("post-nonlinear", "dependent", "false"),
+    ("post-nonlinear", "dependent", 0),
+    ("gauss-corr", "rho", "0.5"),
+    ("gauss-corr", "rho", True),
+    ("linear-i", "sigma_eps", "0.1"),
+])
+def test_spec_refuses_a_value_of_the_wrong_type(kind, field, value):
+    d_z = 0 if kind == "gauss-corr" else 1
+    with pytest.raises(ValueError, match=f"^{field} must be (true or false|a number), got "):
+        ModelSpec(kind=kind, n=10, d_z=d_z, **{field: value})
+    assert ModelSpec(kind="gauss-corr", n=10, rho=0).rho == 0  # an integer is a number
+
+
 def test_generate_dispatch():
     d, t = generate(ModelSpec("gauss-corr", 200, d_x=2, d_y=2, rho=0.4, seed=3))
     assert d.n == 200 and d.dz == 0

@@ -25,8 +25,8 @@ from cmikit.knn import ksg_cmi_sweep
 from cmikit.nn import TrainingDivergedError
 
 
-def mi_on_pair(pair, cfg):
-    return classifier_mi(pair[0], pair[1], cfg)
+def mi_on_pair(pair, cfg, seed=0):
+    return classifier_mi(pair[0], pair[1], cfg, seed)
 
 
 def with_hidden(cfg, units):
@@ -67,7 +67,7 @@ def test_independent_inputs_score_near_zero():
     vals = []
     for s in range(5):
         x, y = independent_pair(5000, 210 + s)
-        vals.append(classifier_mi(x, y, EstimatorConfig(seed=s)).value)
+        vals.append(classifier_mi(x, y, seed=s).value)
     assert abs(np.mean(vals)) < 0.05
 
 
@@ -92,7 +92,7 @@ def test_f_mine_route_on_correlated_pair():
 
 def test_diff_route_null_when_x_independent_of_rest():
     for s in range(5):
-        est = mi_diff_cmi(x_indep_yz(5000, 200 + s), EstimatorConfig(seed=s))
+        est = mi_diff_cmi(x_indep_yz(5000, 200 + s), seed=s)
         assert abs(est.value) <= 0.07
         assert est.value == est.components[0] - est.components[1]
 
@@ -114,8 +114,7 @@ def test_diff_route_degenerates_to_plain_mi_without_conditioning():
     x = rng.normal(size=(600, 1))
     y = x + rng.normal(size=(600, 1))
     d = SampleSet(x=x, y=y, z=np.empty((600, 0)))
-    cfg = EstimatorConfig(seed=4)
-    assert mi_diff_cmi(d, cfg) == classifier_mi(x, y, cfg)
+    assert mi_diff_cmi(d, seed=4) == classifier_mi(x, y, seed=4)
 
 
 def test_f_mine_diff_route_null():
@@ -128,7 +127,7 @@ def test_f_mine_diff_route_null():
 
 def test_generator_route_null_on_conditionally_independent_data():
     d, _ = gen_post_nonlinear_cit(d_z=5, n=2000, dependent=False, seed=240)
-    est = generator_classifier_cmi(d, EstimatorConfig(bootstrap=5, seed=0))
+    est = generator_classifier_cmi(d, EstimatorConfig(bootstrap=5))
     assert abs(est.value) < 0.1
 
 
@@ -139,8 +138,8 @@ def test_generator_route_additive_uniform_benchmark(generator_model1_dz20, model
 
 def test_generator_route_bootstrap_spread():
     d, _ = gen_linear("I", d_z=5, n=2000, seed=55)
-    one = generator_classifier_cmi(d, EstimatorConfig(bootstrap=1, seed=0))
-    ten = generator_classifier_cmi(d, EstimatorConfig(bootstrap=10, seed=0))
+    one = generator_classifier_cmi(d, EstimatorConfig(bootstrap=1))
+    ten = generator_classifier_cmi(d, EstimatorConfig(bootstrap=10))
     assert ten.bootstrap_std > 0.0
     assert one.bootstrap_std is None
     assert abs(ten.value - one.value) <= 0.2
@@ -152,21 +151,21 @@ def test_generator_route_bootstrap_spread():
 
 
 def test_correction_vanishes_under_exact_resampler():
-    cfg = EstimatorConfig(bootstrap=5, seed=7)
+    cfg = EstimatorConfig(bootstrap=5)
     for s in (60, 61):
         d, _ = gen_linear("I", d_z=5, n=4000, seed=s)
-        est = bias_corrected_cmi(d, cfg, generator_fn=perfect_resampler)
+        est = bias_corrected_cmi(d, cfg, 7, generator_fn=perfect_resampler)
         assert abs(est.components[1]) < 0.05
         assert abs(est.value - est.components[0]) < 0.05
 
 
 def test_correction_rescues_biased_resampler():
-    cfg = EstimatorConfig(bootstrap=5, seed=7)
+    cfg = EstimatorConfig(bootstrap=5)
     raw, corrected, truth = [], [], None
     for s in range(5):
         d, gt = gen_linear("I", d_z=5, n=4000, sigma_eps=1.0, seed=60 + s)
         truth = gt.value
-        est = bias_corrected_cmi(d, cfg, generator_fn=shifted_resampler)
+        est = bias_corrected_cmi(d, cfg, 7, generator_fn=shifted_resampler)
         raw.append(est.components[0])
         corrected.append(est.value)
     err_raw = abs(np.mean(raw) - truth)
@@ -181,10 +180,10 @@ def test_correction_grows_when_neighborhood_degenerates():
     for s in (60, 61):
         d, _ = gen_linear("I", d_z=5, n=4000, seed=s)
         wide.append(
-            bias_corrected_cmi(d, EstimatorConfig(bootstrap=5, generator_k=2000, seed=7)).components[1]
+            bias_corrected_cmi(d, EstimatorConfig(bootstrap=5, generator_k=2000), 7).components[1]
         )
         tight.append(
-            bias_corrected_cmi(d, EstimatorConfig(bootstrap=5, generator_k=5, seed=7)).components[1]
+            bias_corrected_cmi(d, EstimatorConfig(bootstrap=5, generator_k=5), 7).components[1]
         )
     assert np.mean(wide) > 0.0
     assert np.mean(wide) > np.mean(tight)
@@ -192,15 +191,15 @@ def test_correction_grows_when_neighborhood_degenerates():
 
 def test_correction_cancels_on_conditionally_independent_data():
     d, _ = gen_post_nonlinear_cit(d_z=5, n=4000, dependent=False, seed=77)
-    est = bias_corrected_cmi(d, EstimatorConfig(bootstrap=5, generator_k=2000, seed=0))
+    est = bias_corrected_cmi(d, EstimatorConfig(bootstrap=5, generator_k=2000))
     assert abs(est.value) <= 0.1
 
 
 def test_uncorrected_run_matches_correction_main_term():
     d, _ = gen_linear("I", d_z=2, n=600, seed=9)
-    cfg = EstimatorConfig(bootstrap=2, seed=3)
-    plain = generator_classifier_cmi(d, cfg)
-    paired = bias_corrected_cmi(d, cfg)
+    cfg = EstimatorConfig(bootstrap=2)
+    plain = generator_classifier_cmi(d, cfg, 3)
+    paired = bias_corrected_cmi(d, cfg, 3)
     assert plain.value == paired.components[0]
 
 
@@ -209,7 +208,7 @@ def test_uncorrected_run_matches_correction_main_term():
 
 def test_single_candidate_returned_as_is():
     d, _ = gen_gauss_corr(d=1, rho=0.6, n=500, seed=0)
-    cand = EstimatorConfig(seed=0)
+    cand = EstimatorConfig()
     cfg, est = hyperparam_select((d.x, d.y), [cand], estimator=mi_on_pair)
     assert cfg is cand
     assert est == classifier_mi(d.x, d.y, cand)
@@ -217,7 +216,7 @@ def test_single_candidate_returned_as_is():
 
 def test_width_variants_both_land_and_max_wins():
     d, gt = gen_gauss_corr(d=1, rho=0.9, n=5000, seed=230)
-    cands = [with_hidden(EstimatorConfig(seed=0), u) for u in (64, 256)]
+    cands = [with_hidden(EstimatorConfig(), u) for u in (64, 256)]
     cfg, est = hyperparam_select((d.x, d.y), cands, estimator=mi_on_pair)
     vals = [classifier_mi(d.x, d.y, c).value for c in cands]
     for v in vals:
@@ -227,8 +226,8 @@ def test_width_variants_both_land_and_max_wins():
 
 def test_crippled_candidate_loses_to_default():
     d, _ = gen_gauss_corr(d=1, rho=0.9, n=5000, seed=230)
-    crippled = with_train(EstimatorConfig(seed=0), epochs=1)
-    default = EstimatorConfig(seed=0)
+    crippled = with_train(EstimatorConfig(), epochs=1)
+    default = EstimatorConfig()
     cfg, est = hyperparam_select((d.x, d.y), [crippled, default], estimator=mi_on_pair)
     assert cfg == default
     assert est.value > classifier_mi(d.x, d.y, crippled).value
@@ -239,7 +238,7 @@ def test_selection_requires_candidates_and_survives_failures():
     with pytest.raises(ValueError):
         hyperparam_select((d.x, d.y), [], estimator=mi_on_pair)
 
-    def broken(pair, cfg):
+    def broken(pair, cfg, seed):
         raise ValueError("no fit")
 
     with pytest.raises(RuntimeError):
@@ -248,24 +247,36 @@ def test_selection_requires_candidates_and_survives_failures():
 
 @pytest.mark.parametrize("values, pick", [((np.nan, 1.0), 1), ((1.0, np.inf), 0), ((-np.inf, -0.5), 1)])
 def test_selection_counts_nonfinite_estimates_as_failures(values, pick):
-    cands = [EstimatorConfig(seed=i) for i in range(len(values))]
-    cfg, est = hyperparam_select(None, cands, estimator=lambda d, c: CmiEstimate(values[c.seed]))
+    cands = [EstimatorConfig(bootstrap=i + 1) for i in range(len(values))]
+    cfg, est = hyperparam_select(None, cands, estimator=lambda d, c, s: CmiEstimate(values[c.bootstrap - 1]))
     assert cfg is cands[pick]
     assert est.value == values[pick]
 
 
+def test_selection_scores_every_candidate_on_the_given_seed():
+    seen = []
+
+    def record(d, cfg, seed):
+        seen.append((cfg.bootstrap, seed))
+        return CmiEstimate(float(cfg.bootstrap))
+
+    cands = [EstimatorConfig(bootstrap=b) for b in (1, 2)]
+    assert hyperparam_select(None, cands, estimator=record, seed=5) == (cands[1], CmiEstimate(2.0))
+    assert seen == [(1, 5), (2, 5)]
+
+
 def test_selection_fails_when_every_estimate_is_nonfinite():
-    cands = [EstimatorConfig(seed=i) for i in range(2)]
+    cands = [EstimatorConfig(bootstrap=i + 1) for i in range(2)]
     values = (np.nan, np.inf)
     with pytest.raises(RuntimeError, match="2 candidate.*non-finite estimate nan; non-finite estimate inf"):
-        hyperparam_select(None, cands, estimator=lambda d, c: CmiEstimate(values[c.seed]))
+        hyperparam_select(None, cands, estimator=lambda d, c, s: CmiEstimate(values[c.bootstrap - 1]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_selection_skips_a_candidate_that_diverges_in_a_worker(monkeypatch):
     monkeypatch.setenv("CMIKIT_THREADS", "2")
     d, _ = gen_gauss_corr(d=1, rho=0.6, n=500, seed=0)
-    good = with_train(EstimatorConfig(seed=0), epochs=3)
+    good = with_train(EstimatorConfig(), epochs=3)
     bad = with_train(good, learning_rate=1e300)
     with pytest.raises(TrainingDivergedError):
         mi_on_pair((d.x, d.y), bad)
@@ -277,7 +288,7 @@ def test_selection_skips_a_candidate_that_diverges_in_a_worker(monkeypatch):
 def test_selection_does_not_swallow_programming_errors():
     d, _ = gen_gauss_corr(d=1, rho=0.6, n=500, seed=0)
 
-    def misused(pair, cfg):
+    def misused(pair, cfg, seed):
         raise TypeError("wrong call")
 
     with pytest.raises(TypeError, match="wrong call"):
@@ -285,10 +296,10 @@ def test_selection_does_not_swallow_programming_errors():
 
 
 def test_default_candidate_grid_shape():
-    grid = default_candidates(seed=3)
+    grid = default_candidates(bootstrap=3)
     assert len(grid) == 4
-    assert grid[0] == EstimatorConfig(seed=3)
-    assert all(c.seed == 3 for c in grid)
+    assert grid[0] == EstimatorConfig(bootstrap=3)
+    assert all(c.bootstrap == 3 for c in grid)
     assert len({(c.divergence.train.epochs, c.divergence.train.l2_coefficient) for c in grid}) == 4
 
 
@@ -299,33 +310,31 @@ def test_argument_order_symmetry():
     fw, bw = [], []
     for s in range(5):
         d, _ = gen_gauss_corr(d=1, rho=0.6, n=5000, seed=220 + s)
-        fw.append(classifier_mi(d.x, d.y, EstimatorConfig(seed=s)).value)
-        bw.append(classifier_mi(d.y, d.x, EstimatorConfig(seed=s)).value)
+        fw.append(classifier_mi(d.x, d.y, seed=s).value)
+        bw.append(classifier_mi(d.y, d.x, seed=s).value)
     assert abs(np.mean(fw) - np.mean(bw)) <= 0.1
 
 
 def test_affine_rescaling_leaves_estimate_alone():
     d, _ = gen_gauss_corr(d=1, rho=0.6, n=2000, seed=0)
-    cfg = EstimatorConfig(seed=0)
-    base = classifier_mi(d.x, d.y, cfg).value
-    scaled = classifier_mi(10.0 * d.x, 10.0 * d.y, cfg).value
+    base = classifier_mi(d.x, d.y).value
+    scaled = classifier_mi(10.0 * d.x, 10.0 * d.y).value
     assert abs(base - scaled) <= 0.15
 
 
 def test_truncation_flag_clamps_negatives():
     x, y = independent_pair(5000, 210)
-    raw = classifier_mi(x, y, EstimatorConfig(seed=0))
-    clamped = classifier_mi(x, y, EstimatorConfig(seed=0, truncate_negative=True))
+    raw = classifier_mi(x, y)
+    clamped = classifier_mi(x, y, EstimatorConfig(truncate_negative=True))
     assert raw.value < 0.0
     assert clamped.value == 0.0
 
 
 def test_estimates_are_bit_reproducible():
     d, _ = gen_gauss_corr(d=1, rho=0.6, n=500, seed=0)
-    cfg = EstimatorConfig(seed=11)
-    assert classifier_mi(d.x, d.y, cfg) == classifier_mi(d.x, d.y, cfg)
+    assert classifier_mi(d.x, d.y, seed=11) == classifier_mi(d.x, d.y, seed=11)
     dd, _ = gen_linear("I", d_z=1, n=500, seed=12)
-    assert mi_diff_cmi(dd, cfg) == mi_diff_cmi(dd, cfg)
+    assert mi_diff_cmi(dd, seed=11) == mi_diff_cmi(dd, seed=11)
 
 
 def test_input_validation():
@@ -366,15 +375,15 @@ def bias_corrected_with_closure_resampler(d):
         rows = np.random.default_rng(seed).integers(0, pool.n, size=len(z_query))
         return pool.y[rows] + shift
 
-    return bias_corrected_cmi(d, EstimatorConfig(bootstrap=2, seed=3), generator_fn=resample)
+    return bias_corrected_cmi(d, EstimatorConfig(bootstrap=2), 3, generator_fn=resample)
 
 
 @pytest.mark.parametrize("estimate", [
     lambda d: ksg_cmi_sweep(d, [3, 5], seed=2),
-    lambda d: generator_classifier_cmi(d, EstimatorConfig(bootstrap=2, seed=3)).value,
-    lambda d: mi_diff_cmi(d, with_train(EstimatorConfig(seed=4), epochs=3)),
-    lambda d: f_mine_diff_cmi(d, with_train(EstimatorConfig(divergence=F_MINE_DIVERGENCE, seed=4), epochs=3)),
-    lambda d: bias_corrected_cmi(d, EstimatorConfig(bootstrap=2, seed=3)),
+    lambda d: generator_classifier_cmi(d, EstimatorConfig(bootstrap=2), 3).value,
+    lambda d: mi_diff_cmi(d, with_train(EstimatorConfig(), epochs=3), 4),
+    lambda d: f_mine_diff_cmi(d, with_train(EstimatorConfig(divergence=F_MINE_DIVERGENCE), epochs=3), 4),
+    lambda d: bias_corrected_cmi(d, EstimatorConfig(bootstrap=2), 3),
     bias_corrected_with_closure_resampler,
 ])
 def test_estimates_do_not_depend_on_cmikit_threads(monkeypatch, estimate):
@@ -389,12 +398,12 @@ def test_estimates_do_not_depend_on_cmikit_threads(monkeypatch, estimate):
 def test_classifier_mi_in_caller_threads_matches_a_serial_run(monkeypatch):
     monkeypatch.setenv("CMIKIT_THREADS", "2")
     d, _ = gen_gauss_corr(d=1, rho=0.6, n=400, seed=0)
-    cfgs = [with_train(EstimatorConfig(seed=s), epochs=3) for s in (1, 2)]
-    serial = [classifier_mi(d.x, d.y, cfg) for cfg in cfgs]
+    cfg = with_train(EstimatorConfig(), epochs=3)
+    serial = [classifier_mi(d.x, d.y, cfg, s) for s in (1, 2)]
     threaded = [None, None]
 
     def run(i):
-        threaded[i] = classifier_mi(d.x, d.y, cfgs[i])
+        threaded[i] = classifier_mi(d.x, d.y, cfg, i + 1)
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     for t in threads:
@@ -425,7 +434,7 @@ def test_generator_route_starts_one_pool_per_estimate(monkeypatch, estimator):
     monkeypatch.setenv("CMIKIT_THREADS", "2")
     made = _count_pools(monkeypatch)
     d, _ = gen_linear("I", d_z=2, n=200, seed=5)
-    est = estimator(d, with_train(EstimatorConfig(bootstrap=3, seed=0), epochs=2))
+    est = estimator(d, with_train(EstimatorConfig(bootstrap=3), epochs=2))
     assert len(est.per_bootstrap) == 3
     assert len(made) == 1
 

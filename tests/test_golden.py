@@ -91,15 +91,15 @@ def test_golden_calibrate_payload(tmp_path):
     out = tmp_path / "calibrate.json"
     assert cli_main(["calibrate", "--n", "600", "--d", "2", "--seed", "1", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "73e9361c36b447e4ca386702c2d4b726e3011977c6dd540365fa1cf8941156ec"
+    assert digest == "f7be94c32337df8d572a31538675b6b2a485bd60b96cad11719bd3f4ad53bfa0"
 
 
 def test_golden_ccmi():
-    assert repr(mi_diff_cmi(_linear_dz2(), EstimatorConfig(seed=3)).value) == "1.0937435720975075"
+    assert repr(mi_diff_cmi(_linear_dz2(), seed=3).value) == "1.0937435720975075"
 
 
 def test_golden_gen_classifier():
-    est = generator_classifier_cmi(_linear_dz2(), EstimatorConfig(seed=3))
+    est = generator_classifier_cmi(_linear_dz2(), seed=3)
     assert repr(est.value) == "0.6460517762120394"
 
 
@@ -120,7 +120,7 @@ def test_golden_f_mine_diff():
 
 
 def test_golden_bias_corrected():
-    est = bias_corrected_cmi(_linear_dz2(), EstimatorConfig(seed=3))
+    est = bias_corrected_cmi(_linear_dz2(), seed=3)
     assert repr(est.value) == "0.6809746862979054"
 
 
