@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .cit import benchmark_csv, reliability_curve, run_cit_benchmark
 from .data import load_csv, write_csv
-from .datagen import MODEL_KINDS, ModelSpec, dataset_metadata, gen_gauss_corr, generate
+from .datagen import KIND_FIELDS, MODEL_KINDS, ModelSpec, dataset_metadata, gen_gauss_corr, generate
 from .divergence import derange_split
 from .estimators import (
     F_MINE_CONFIG,
@@ -40,7 +40,6 @@ __all__ = ["main"]
 
 LN2 = math.log(2.0)
 METHODS = ("ccmi", "gen-classifier", "ksg", "f-mine-diff")
-DZ_REQUIRED_KINDS = ("linear-i", "linear-ii", "nonlinear", "post-nonlinear")
 
 
 # --- config and output plumbing ---------------------------------------------
@@ -58,7 +57,7 @@ def _from_dict(base, data, where):
         if dataclasses.is_dataclass(getattr(base, key)):
             value = _from_dict(getattr(base, key), value, here)
         check_type(here, kinds[key], value)
-        kwargs[key] = value
+        kwargs[key] = float(value) if kinds[key] is float else value
     return dataclasses.replace(base, **kwargs)
 
 
@@ -96,25 +95,19 @@ def _atomic_write(path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_payload(path, payload) -> None:
+    """Write ``payload`` as JSON atomically and echo it on stdout."""
+    text = _dump_json(payload)
+    _atomic_write(path, text)
+    print(text, end="")
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _write_manifest(out, command, config, seed, started, files) -> None:
-    """One manifest per run, next to the primary output."""
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-        "duration_s": time.time() - started,
-        "payload": {name: {"file": str(p), "sha256": _sha256(p)} for name, p in files.items()},
-    }
-    _atomic_write(str(out) + ".manifest.json", _dump_json(manifest))
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -130,17 +123,8 @@ def _int_list(text: str, flag: str) -> list[int]:
 # --- dataset plumbing --------------------------------------------------------
 
 def _model_spec_from_args(args, n, d_z, seed) -> ModelSpec:
-    return ModelSpec(
-        kind=args.model,
-        n=n,
-        d_x=args.dx,
-        d_y=args.dy,
-        d_z=d_z,
-        rho=args.rho,
-        sigma_eps=args.sigma_eps,
-        dependent=args.dependent,
-        seed=seed,
-    )
+    return ModelSpec(kind=args.model, n=n, d_x=args.dx, d_y=args.dy, d_z=d_z, rho=args.rho,
+                     sigma_eps=args.sigma_eps, dependent=args.dependent, seed=seed)
 
 
 def _load_input(args):
@@ -186,12 +170,10 @@ def _estimate(d, method, cfg, ks, seed):
 
 # --- subcommands -------------------------------------------------------------
 
-def cmd_gen(args) -> int:
-    started = time.time()
-    if args.model in DZ_REQUIRED_KINDS and args.dz is None:
+def cmd_gen(args):
+    if "d_z" in KIND_FIELDS[args.model] and args.dz is None:
         args.parser.error(f"--dz is required for model {args.model!r}")
-    seed = args.seed if args.seed is not None else 0
-    spec = _model_spec_from_args(args, args.n, args.dz or 0, seed)
+    spec = _model_spec_from_args(args, args.n, args.dz or 0, args.seed)
     d, truth = generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -200,27 +182,21 @@ def cmd_gen(args) -> int:
     os.replace(tmp, out)
     sidecar = out.with_suffix(".json")
     _atomic_write(sidecar, _dump_json(dataset_metadata(spec, d, truth)))
-    _write_manifest(
-        out, "gen", _jsonable(dataclasses.asdict(spec)), seed, started,
-        {"dataset": out, "metadata": sidecar},
-    )
-    return 0
+    return _jsonable(dataclasses.asdict(spec)), {"dataset": out, "metadata": sidecar}
 
 
-def cmd_estimate(args) -> int:
-    started = time.time()
+def cmd_estimate(args):
     d, meta = _load_input(args)
-    seed = args.seed if args.seed is not None else 0
     cfg = _load_estimator_config(args.config, args.method)
     ks = _int_list(args.k, "--k")
-    result = _estimate(d, args.method, cfg, ks, seed)
+    result = _estimate(d, args.method, cfg, ks, args.seed)
     payload = {
         "command": "estimate",
         "method": args.method,
         "input": str(args.input),
         "units": "nats",
-        "seed": seed,
-        "config": dataclasses.asdict(cfg) if args.method != "ksg" else {"k": ks, "seed": seed},
+        "seed": args.seed,
+        "config": dataclasses.asdict(cfg) if args.method != "ksg" else {"k": ks, "seed": args.seed},
         "diagnostics": {
             "n": d.n,
             "d_x": d.dx,
@@ -232,15 +208,11 @@ def cmd_estimate(args) -> int:
     }
     if args.bits:
         payload["value_bits"] = payload["value"] / LN2
-    text = _dump_json(payload)
-    _atomic_write(args.out, text)
-    _write_manifest(args.out, "estimate", payload["config"], seed, started, {"result": Path(args.out)})
-    print(text, end="")
-    return 0
+    _write_payload(args.out, payload)
+    return payload["config"], {"result": Path(args.out)}
 
 
-def cmd_cit(args) -> int:
-    started = time.time()
+def cmd_cit(args):
     conf = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(conf, dict) or "specs" not in conf:
         raise ValueError("cit config must be a JSON object with a 'specs' list")
@@ -251,29 +223,23 @@ def cmd_cit(args) -> int:
         except (TypeError, ValueError) as exc:  # an unknown key, or a value its kind refuses
             raise ValueError(f"specs[{i}]: {exc}") from None
     cfg = _from_dict(EstimatorConfig(), conf.get("estimator", {}), "estimator")
-    seed = args.seed if args.seed is not None else 0
-    bench = run_cit_benchmark(specs, cfg, seed=seed)
+    bench = run_cit_benchmark(specs, cfg, seed=args.seed)
     payload = {
         "command": "cit",
-        "seed": seed,
+        "seed": args.seed,
         "metrics": bench.metrics(),
         "config": dataclasses.asdict(cfg),
     }
     out = Path(args.out)
     scores = Path(args.scores) if args.scores else out.with_name(out.stem + "_scores.csv")
-    text = _dump_json(payload)
-    _atomic_write(out, text)
     _atomic_write(scores, benchmark_csv(bench))
-    _write_manifest(out, "cit", payload["config"], seed, started, {"metrics": out, "scores": scores})
-    print(text, end="")
-    return 0
+    _write_payload(out, payload)
+    return payload["config"], {"metrics": out, "scores": scores}
 
 
-def cmd_sweep(args) -> int:
-    started = time.time()
-    if args.model in DZ_REQUIRED_KINDS and args.dz_grid is None:
+def cmd_sweep(args):
+    if "d_z" in KIND_FIELDS[args.model] and args.dz_grid is None:
         args.parser.error(f"--dz-grid is required for model {args.model!r}")
-    seed = args.seed if args.seed is not None else 0
     n_grid = sorted(set(_int_list(args.n_grid, "--n-grid")))
     dz_grid = sorted(set(_int_list(args.dz_grid, "--dz-grid"))) if args.dz_grid else [0]
     if args.runs < 1:
@@ -281,12 +247,12 @@ def cmd_sweep(args) -> int:
     cfg = _load_estimator_config(args.config, args.method)
     ks = _int_list(args.k, "--k")
     cells = [(n, dz, run) for n in n_grid for dz in dz_grid for run in range(args.runs)]
-    specs = [_model_spec_from_args(args, n, dz, derive_seed(seed, 71, idx))
+    specs = [_model_spec_from_args(args, n, dz, derive_seed(args.seed, 71, idx))
              for idx, (n, dz, _) in enumerate(cells)]
 
     def score_cell(idx):  # (estimate, ground truth) of one cell
         d, truth = generate(specs[idx])
-        return _estimate(d, args.method, cfg, ks, derive_seed(seed, 72, idx))["value"], truth.value
+        return _estimate(d, args.method, cfg, ks, derive_seed(args.seed, 72, idx))["value"], truth.value
 
     load_scipy()  # cells may reach ksg_cmi (--method ksg, nonlinear truth); workers inherit it
     rows = process_map(score_cell, range(len(cells)))
@@ -297,32 +263,29 @@ def cmd_sweep(args) -> int:
     estimator = {} if args.method == "ksg" else {"estimator": dataclasses.asdict(cfg)}
     config = {**estimator, "method": args.method, "k": ks,
               "n_grid": n_grid, "dz_grid": dz_grid, "runs": args.runs, "model": args.model}
-    _write_manifest(args.out, "sweep", config, seed, started, {"sweep": Path(args.out)})
-    return 0
+    return config, {"sweep": Path(args.out)}
 
 
-def cmd_calibrate(args) -> int:
-    started = time.time()
-    seed = args.seed if args.seed is not None else 0
+def cmd_calibrate(args):
     cfg = _load_estimator_config(args.config)
     for name in ("bootstrap", "generator_k", "truncate_negative", "divergence.inner_iterations", "divergence.clip"):
         keys = name.split(".")
         if functools.reduce(getattr, keys, cfg) != functools.reduce(getattr, keys, EstimatorConfig()):
             raise ValueError(f"{name} is not read by calibrate, which reads only the net shape and training")
-    d, truth = gen_gauss_corr(args.d, args.rho, args.n, derive_seed(seed, 81))
+    d, truth = gen_gauss_corr(args.d, args.rho, args.n, derive_seed(args.seed, 81))
     joint = np.hstack([d.x, d.y])
     tr, q_tr, ev, q_ev = derange_split(
-        joint, d.dx, derive_seed(seed, 82), derive_seed(seed, 83), derive_seed(seed, 84)
+        joint, d.dx, derive_seed(args.seed, 82), derive_seed(args.seed, 83), derive_seed(args.seed, 84)
     )
     arch = MlpArchitecture(joint.shape[1], cfg.divergence.hidden_layer_sizes)
-    c = train_binary_classifier(tr, q_tr, arch, cfg.divergence.train, derive_seed(seed, 85))
+    c = train_binary_classifier(tr, q_tr, arch, cfg.divergence.train, derive_seed(args.seed, 85))
     rows = np.vstack([ev, q_ev])
     labels = np.concatenate([np.ones(len(ev)), np.zeros(len(q_ev))])
     curve = reliability_curve(c, rows, labels, bins=args.bins)
     probs = predict_proba(c, rows)
     payload = {
         "command": "calibrate",
-        "seed": seed,
+        "seed": args.seed,
         "d": args.d,
         "rho": args.rho,
         "n": args.n,
@@ -335,17 +298,14 @@ def cmd_calibrate(args) -> int:
         "counts": curve.counts,
         "config": dataclasses.asdict(cfg),
     }
-    text = _dump_json(payload)
-    _atomic_write(args.out, text)
-    _write_manifest(args.out, "calibrate", payload["config"], seed, started, {"result": Path(args.out)})
-    print(text, end="")
-    return 0
+    _write_payload(args.out, payload)
+    return payload["config"], {"result": Path(args.out)}
 
 
 # --- argument parsing --------------------------------------------------------
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sub.add_argument("--out", required=True, help="output file path")
 
 
@@ -417,9 +377,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; each ``cmd_*`` returns (config, {name: path}) for the manifest, written on success."""
     args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        config, files = args.func(args)
+        manifest = {
+            "command": args.command,
+            "config": config,
+            "seed": args.seed,
+            "version": __version__,
+            "duration_s": time.time() - started,
+            "payload": {name: {"file": str(p), "sha256": _sha256(p)} for name, p in files.items()},
+        }
+        _atomic_write(str(args.out) + ".manifest.json", _dump_json(manifest))
+        return 0
     except (ValueError, RuntimeError, OSError, KeyError, TypeError) as exc:
         error = {
             "command": args.command,

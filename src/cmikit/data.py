@@ -22,7 +22,6 @@ __all__ = [
     "split_half",
     "split_rows",
     "derange_rows",
-    "project",
 ]
 
 
@@ -178,19 +177,3 @@ def derange_rows(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         perm = rng.permutation(n)
         if not np.any(perm == idx):
             return m[perm]
-
-
-def project(d: SampleSet, blocks) -> np.ndarray:
-    """Horizontally concatenate the requested blocks in canonical X|Y|Z order.
-
-    ``blocks`` is any iterable over block names, e.g. ``"xz"`` or
-    ``("x", "y", "z")``; order of the request is ignored.
-    """
-    wanted = {str(b).lower() for b in blocks}
-    unknown = wanted - {"x", "y", "z"}
-    if unknown:
-        raise ValueError(f"unknown blocks: {sorted(unknown)}")
-    if not wanted:
-        raise ValueError("no blocks requested")
-    parts = [getattr(d, b) for b in ("x", "y", "z") if b in wanted]
-    return np.hstack(parts)

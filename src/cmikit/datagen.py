@@ -8,6 +8,7 @@ closed form exists, a high-sample neighbor estimate on the nonlinear model's
 sufficient statistic otherwise).
 """
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,7 +63,10 @@ class ModelSpec:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
         for f in fields(self):
-            check_type(f.name, f.type, getattr(self, f.name))
+            value = getattr(self, f.name)
+            if f.type is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            check_type(f.name, f.type, value)
         for name in ("d_x", "d_y", "d_z", "rho", "sigma_eps", "dependent"):
             if name not in KIND_FIELDS[self.kind] and getattr(self, name) != getattr(ModelSpec, name):
                 raise ValueError(f"{name} is not read by model {self.kind!r}; leave it at its default")

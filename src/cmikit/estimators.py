@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import SampleSet, project, split_half
+from .data import SampleSet, split_half
 from .divergence import (
     DivergenceConfig,
     F_MINE_DIVERGENCE,
@@ -131,7 +131,7 @@ def _diff_cmi(mi: Callable, d: SampleSet, cfg: EstimatorConfig, seed: int) -> Cm
     if d.dz == 0:
         return mi(d.x, d.y, cfg, seed)
     raw = dataclasses.replace(cfg, truncate_negative=False)
-    i_xyz = mi(d.x, project(d, "yz"), raw, derive_seed(seed, 41, 0))
+    i_xyz = mi(d.x, np.hstack([d.y, d.z]), raw, derive_seed(seed, 41, 0))
     i_xz = mi(d.x, d.z, raw, derive_seed(seed, 41, 1))
     per = tuple(a - b for a, b in zip(i_xyz.per_bootstrap, i_xz.per_bootstrap))
     return _finish(
@@ -197,12 +197,13 @@ def _generator_rounds(d: SampleSet, cfg: EstimatorConfig, seed: int, generator_f
     def one_round(i):
         b_seed = derive_seed(seed, 51, i)
         d_class, y_marg = _generated_half(d, cfg, b_seed, generator_fn)
+        joint = np.hstack([d_class.x, d_class.y, d_class.z])
         marg = np.hstack([d_class.x, y_marg, d_class.z])
-        main = classifier_dkl_paired(project(d_class, "xyz"), marg, cfg.divergence, derive_seed(b_seed, 3))
+        main = classifier_dkl_paired(joint, marg, cfg.divergence, derive_seed(b_seed, 3))
         if not corrected:
             return main.value, None
         yz_marg = np.hstack([y_marg, d_class.z])
-        corr = classifier_dkl_paired(project(d_class, "yz"), yz_marg, cfg.divergence, derive_seed(b_seed, 4))
+        corr = classifier_dkl_paired(np.hstack([d_class.y, d_class.z]), yz_marg, cfg.divergence, derive_seed(b_seed, 4))
         return main.value, corr.value
 
     if generator_fn is None:

@@ -285,7 +285,7 @@ def ksg_cmi(d: SampleSet, k: int = 3, seed: int = 0) -> float:
 def ksg_mi(d: SampleSet, k: int = 3, seed: int = 0) -> float:
     """Mutual information I(X;Y) in nats by the KSG neighbor method (no z block)."""
     if d.dz != 0:
-        raise ValueError("ksg_mi expects d_z = 0; use ksg_cmi or project first")
+        raise ValueError("ksg_mi expects d_z = 0; use ksg_cmi for a conditioning block")
     if not 1 <= k < d.n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={d.n}")
     load_scipy()

@@ -14,6 +14,7 @@ import random
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -531,6 +532,7 @@ def test_cit_single_class_config_fails(workdir, capsys):
     ({"colour": 1}, {}, ("specs[0]: ", "'colour'")),
     ({}, {"generator_k": 3}, ("generator_k is read only by the generator route",)),
     ({"dependent": "false"}, {}, ("specs[0]: dependent must be true or false",)),
+    ({"n": "300"}, {}, ("specs[0]: n must be an integer, got '300'",)),
 ])
 def test_cit_rejects_a_field_nothing_reads_before_training(
         workdir, monkeypatch, capsys, spec_extra, estimator, parts):
@@ -697,6 +699,19 @@ def test_calibrate_reliability_payload(workdir):
     assert payload["true_mi"] > 0.0
 
 
+def test_a_float_field_echoes_as_a_float(workdir):
+    payloads = []
+    for rate in (1, 1.0):
+        config = workdir / "cfg_rate.json"
+        config.write_text(json.dumps({"divergence": {"train": {"learning_rate": rate, "epochs": 1}}}),
+                          encoding="utf-8")
+        out = workdir / f"cal_rate_{rate!r}.json"
+        assert run_cli(["calibrate", "--n", 600, "--d", 2, "--config", config, "--out", out]) == 0
+        payloads.append(out.read_bytes())
+    assert payloads[0] == payloads[1]
+    assert read_json(out)["config"]["divergence"]["train"]["learning_rate"] == 1.0
+
+
 def test_calibrate_reruns_are_byte_identical(workdir):
     outs = [workdir / "cal_a.json", workdir / "cal_b.json"]
     for out in outs:
@@ -714,11 +729,16 @@ def test_sha256_streams_the_whole_file(tmp_path, size):
     assert _sha256(p) == hashlib.sha256(p.read_bytes()).hexdigest()
 
 
-def test_every_command_writes_one_manifest(workdir, small_file, cit_paths):
+def test_every_command_writes_one_manifest(workdir, small_file, cit_paths, capsys):
     tiny = workdir / "tiny.csv"
-    produced = [small_file, cit_paths[0][0], tiny,
-                workdir / "tiny_est.json", workdir / "tiny_sweep.csv",
-                workdir / "tiny_calib.json"]
+    runs = [  # (primary output, command, seed, payload names)
+        (small_file, "gen", 7, {"dataset", "metadata"}),
+        (cit_paths[0][0], "cit", 0, {"metrics", "scores"}),
+        (tiny, "gen", 1, {"dataset", "metadata"}),
+        (workdir / "tiny_est.json", "estimate", 1, {"result"}),
+        (workdir / "tiny_sweep.csv", "sweep", 1, {"sweep"}),
+        (workdir / "tiny_calib.json", "calibrate", 0, {"result"}),  # --seed left at its default
+    ]
     assert run_cli(["gen", "--model", "gauss-corr", "--n", 300, "--seed", 1,
                     "--out", tiny]) == 0
     assert run_cli(["estimate", "--in", tiny, "--method", "ksg", "--seed", 1,
@@ -726,14 +746,30 @@ def test_every_command_writes_one_manifest(workdir, small_file, cit_paths):
     assert run_cli(["sweep", "--model", "gauss-corr", "--method", "ksg",
                     "--n-grid", 300, "--seed", 1,
                     "--out", workdir / "tiny_sweep.csv"]) == 0
-    assert run_cli(["calibrate", "--n", 600, "--d", 2, "--seed", 1,
+    assert run_cli(["calibrate", "--n", 600, "--d", 2,
                     "--out", workdir / "tiny_calib.json"]) == 0
-    for path in produced:
+    for path, command, seed, names in runs:
         siblings = list(path.parent.glob(path.name + ".manifest.json"))
         assert len(siblings) == 1
         manifest = read_json(siblings[0])
-        for key in ("command", "config", "seed", "version", "duration_s", "payload"):
-            assert key in manifest
+        assert set(manifest) == {"command", "config", "seed", "version", "duration_s", "payload"}
+        assert (manifest["command"], manifest["seed"]) == (command, seed)
+        assert set(manifest["payload"]) == names
+        assert str(path) in {entry["file"] for entry in manifest["payload"].values()}
+        for entry in manifest["payload"].values():
+            assert entry["sha256"] == hashlib.sha256(Path(entry["file"]).read_bytes()).hexdigest()
+    capsys.readouterr()
+    bad_spec = workdir / "cit_bad_spec.json"
+    bad_spec.write_text(json.dumps({"specs": [{"kind": "post-nonlinear", "n": "300", "d_z": 2}]}),
+                        encoding="utf-8")
+    failing = (["estimate", "--in", tiny, "--method", "ccmi", "--config", workdir / "no_such_config.json"],
+               ["cit", "--config", bad_spec])
+    for argv in failing:
+        out = workdir / "failed_run.json"
+        assert run_cli([*argv, "--out", out]) == 1
+        assert "error" in json.loads(capsys.readouterr().out)
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
 
 
 def test_version_flag(capsys):

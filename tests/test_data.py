@@ -12,7 +12,6 @@ from cmikit.data import (
     SampleSet,
     derange_rows,
     load_csv,
-    project,
     split_half,
     write_csv,
 )
@@ -224,20 +223,3 @@ def test_product_shuffle_preserves_marginal():
 def test_derange_rows_requires_two():
     with pytest.raises(ValueError):
         derange_rows(np.zeros((1, 2)), rng_from(0))
-
-
-def test_project_widths():
-    d = make_set(6, 1, 1, 2)
-    assert project(d, "xz").shape == (6, 3)
-    assert project(d, "xyz").shape == (6, 4)
-    assert project(d, "y").shape == (6, 1)
-
-
-def test_project_canonical_order():
-    d = make_set(4, 1, 2, 1)
-    np.testing.assert_array_equal(project(d, "zx"), np.hstack([d.x, d.z]))
-
-
-def test_project_empty_blocks():
-    with pytest.raises(ValueError):
-        project(make_set(3), "")

@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,22 @@ def test_spec_refuses_a_value_of_the_wrong_type(kind, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be (true or false|a number), got "):
         ModelSpec(kind=kind, n=10, d_z=d_z, **{field: value})
     assert ModelSpec(kind="gauss-corr", n=10, rho=0).rho == 0  # an integer is a number
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("post-nonlinear", "n", "300"),
+    ("post-nonlinear", "n", 300.0),
+    ("post-nonlinear", "d_z", 2.5),
+    ("post-nonlinear", "d_z", True),
+    ("post-nonlinear", "seed", "1"),
+    ("gauss-corr", "d_x", 2.0),
+    ("gauss-corr", "d_y", False),
+])
+def test_spec_refuses_a_non_integer_for_an_integer_field(kind, field, value):
+    values = {"n": 300, "seed": 1, **({} if kind == "gauss-corr" else {"d_z": 2}), field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        ModelSpec(kind, **values)
+    assert getattr(ModelSpec(kind, **{**values, field: np.int64(2)}), field) == 2  # numpy integers pass
 
 
 def test_generate_dispatch():
