@@ -33,7 +33,7 @@ from .estimators import (
     mi_diff_cmi,
 )
 from .knn import ksg_cmi_sweep, ksg_mi, load_scipy, process_map
-from .nn import MlpArchitecture, check_type, predict_proba, train_binary_classifier
+from .nn import MlpArchitecture, check_count, check_type, predict_proba, train_binary_classifier
 from .seeding import derive_seed
 
 __all__ = ["main"]
@@ -67,6 +67,13 @@ def _load_estimator_config(path, method=None) -> EstimatorConfig:
         raise ValueError("--config sets estimator fields, and --method ksg reads none of them")
     base = F_MINE_CONFIG if method == "f-mine-diff" else EstimatorConfig()
     return base if path is None else _from_dict(base, json.loads(Path(path).read_text(encoding="utf-8")), "")
+
+
+def _neighbor_counts(args):
+    """``--k``'s neighbor counts for ``ksg`` ([3] when unset); other methods refuse the flag."""
+    if args.method != "ksg" and args.k is not None:
+        raise ValueError(f"--k sets neighbor counts, and --method {args.method} reads none of them")
+    return [3] if args.k is None else _int_list(args.k, "--k")
 
 
 def _jsonable(obj):
@@ -186,9 +193,9 @@ def cmd_gen(args):
 
 
 def cmd_estimate(args):
+    ks = _neighbor_counts(args)
     d, meta = _load_input(args)
     cfg = _load_estimator_config(args.config, args.method)
-    ks = _int_list(args.k, "--k")
     result = _estimate(d, args.method, cfg, ks, args.seed)
     payload = {
         "command": "estimate",
@@ -214,10 +221,12 @@ def cmd_estimate(args):
 
 def cmd_cit(args):
     conf = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if not isinstance(conf, dict) or "specs" not in conf:
+    if not isinstance(conf, dict) or not isinstance(conf.get("specs"), list):
         raise ValueError("cit config must be a JSON object with a 'specs' list")
     specs = []
     for i, sd in enumerate(conf["specs"]):
+        if not isinstance(sd, dict):
+            raise ValueError(f"specs[{i}] must be a JSON object")
         try:
             specs.append(ModelSpec(**sd))
         except (TypeError, ValueError) as exc:  # an unknown key, or a value its kind refuses
@@ -245,7 +254,7 @@ def cmd_sweep(args):
     if args.runs < 1:
         raise ValueError("--runs must be positive")
     cfg = _load_estimator_config(args.config, args.method)
-    ks = _int_list(args.k, "--k")
+    ks = _neighbor_counts(args)
     cells = [(n, dz, run) for n in n_grid for dz in dz_grid for run in range(args.runs)]
     specs = [_model_spec_from_args(args, n, dz, derive_seed(args.seed, 71, idx))
              for idx, (n, dz, _) in enumerate(cells)]
@@ -260,13 +269,14 @@ def cmd_sweep(args):
     for (n, dz, run), (value, truth) in zip(cells, rows):
         lines.append(f"{n},{dz},{run},{value!r},{truth!r}")
     _atomic_write(args.out, "\n".join(lines) + "\n")
-    estimator = {} if args.method == "ksg" else {"estimator": dataclasses.asdict(cfg)}
-    config = {**estimator, "method": args.method, "k": ks,
+    method_config = {"k": ks} if args.method == "ksg" else {"estimator": dataclasses.asdict(cfg)}
+    config = {**method_config, "method": args.method,
               "n_grid": n_grid, "dz_grid": dz_grid, "runs": args.runs, "model": args.model}
     return config, {"sweep": Path(args.out)}
 
 
 def cmd_calibrate(args):
+    check_count("--bins", args.bins)
     cfg = _load_estimator_config(args.config)
     for name in ("bootstrap", "generator_k", "truncate_negative", "divergence.inner_iterations", "divergence.clip"):
         keys = name.split(".")
@@ -338,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("estimate", help="estimate MI/CMI from a dataset CSV")
     e.add_argument("--in", dest="input", required=True, help="input dataset CSV")
     e.add_argument("--method", required=True, choices=METHODS)
-    e.add_argument("--k", default="3", help="neighbor counts for ksg, comma-separated; best kept")
+    e.add_argument("--k", default=None, help="neighbor counts for ksg only, comma-separated (default 3); best kept")
     e.add_argument("--dx", type=int, default=None)
     e.add_argument("--dy", type=int, default=None)
     e.add_argument("--dz", type=int, default=None)
@@ -359,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-grid", required=True, dest="n_grid", help="comma-separated sample sizes")
     s.add_argument("--dz-grid", default=None, dest="dz_grid", help="comma-separated d_z values")
     s.add_argument("--runs", type=int, default=1, help="replicates per grid cell")
-    s.add_argument("--k", default="3", help="neighbor counts for ksg, comma-separated; best kept")
+    s.add_argument("--k", default=None, help="neighbor counts for ksg only, comma-separated (default 3); best kept")
     s.add_argument("--config", default=None, help="estimator config JSON")
     _add_model_knobs(s)
     _add_common(s)

@@ -16,7 +16,6 @@ import numpy as np
 from .data import derange_rows, split_rows
 from .knn import process_map
 from .nn import (
-    F_CRITIC_TRAIN_DEFAULTS,
     MlpArchitecture,
     TrainConfig,
     check_count,
@@ -130,9 +129,9 @@ def _held_out_divergence(split, cfg: DivergenceConfig, seed: int, namespace: int
     ``split(it_seed)`` returns the (p_tr, q_tr, p_ev, q_ev) rows of inner
     iteration t, seeded from ``seed`` and t.  A standardizer fit on the training
     rows maps all four, a fresh model trains on the training rows, and the
-    held-out rows score it: the clipped plug-in and accuracy for ``route ==
-    "classifier"``, the exponential-moment objective and nan accuracy for
-    ``"critic"``.  The iterations run through ``process_map``.
+    held-out rows score it: the clipped plug-in and accuracy on the
+    ``"classifier"`` route, the exponential-moment objective and nan accuracy
+    on the ``"critic"`` route.  The iterations run through ``process_map``.
     """
     if route == "critic" and cfg.clip != DivergenceConfig.clip:  # the critic has no probabilities
         raise ValueError(f"clip is unused by the critic route; leave it at its default, got {cfg.clip!r}")
@@ -142,18 +141,17 @@ def _held_out_divergence(split, cfg: DivergenceConfig, seed: int, namespace: int
         p_tr, q_tr, p_ev, q_ev = split(it_seed)
         norm = fit_standardizer(np.vstack([p_tr, q_tr]))
         p_tr, q_tr, p_ev, q_ev = norm(p_tr), norm(q_tr), norm(p_ev), norm(q_ev)
-        if route == "critic":
-            critic = train_f_mine_critic(p_tr, q_tr, cfg.train, cfg.hidden_layer_sizes, derive_seed(it_seed, 3))
-            return f_critic_objective(critic, p_ev, q_ev), float("nan")
         arch = MlpArchitecture(p_tr.shape[1], cfg.hidden_layer_sizes)
-        c = train_binary_classifier(p_tr, q_tr, arch, cfg.train, derive_seed(it_seed, 3))
+        train = train_f_mine_critic if route == "critic" else train_binary_classifier
+        c = train(p_tr, q_tr, arch, cfg.train, derive_seed(it_seed, 3))
+        if route == "critic":
+            return f_critic_objective(c, p_ev, q_ev), float("nan")
         gp, gq = predict_proba(c, p_ev), predict_proba(c, q_ev)
         acc = float(np.sum(gp > 0.5) + np.sum(gq <= 0.5)) / (gp.size + gq.size)
         return dv_plugin(gp, gq, cfg.clip), acc
 
     values, accs = zip(*process_map(iteration, range(cfg.inner_iterations)))
-    acc = float(np.mean(accs)) if route == "classifier" else float("nan")
-    return DivergenceEstimate(float(np.mean(values)), values, acc)
+    return DivergenceEstimate(float(np.mean(values)), values, float(np.mean(accs)))
 
 
 def _split_each(dp, dq, it_seed):
@@ -210,8 +208,11 @@ def classifier_dkl_paired(dp, dq, cfg: DivergenceConfig = DivergenceConfig(), se
     return _held_out_divergence(lambda s: _split_paired(stacked, dp.shape[1], s), cfg, seed, 23, "classifier")
 
 
-# Critic-route defaults: one 64-unit hidden layer, long low-rate training.
-F_MINE_DIVERGENCE = DivergenceConfig(hidden_layer_sizes=(64,), train=F_CRITIC_TRAIN_DEFAULTS)
+# Critic-route defaults: one 64-unit hidden layer, long low-rate training, no weight decay.
+F_MINE_DIVERGENCE = DivergenceConfig(
+    hidden_layer_sizes=(64,),
+    train=TrainConfig(batch_size=128, learning_rate=1e-4, adam_beta1=0.5, epochs=200, l2_coefficient=0.0),
+)
 
 
 def f_mine_dkl(dp, dq, cfg: DivergenceConfig = F_MINE_DIVERGENCE, seed: int = 0) -> DivergenceEstimate:

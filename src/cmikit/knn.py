@@ -40,8 +40,6 @@ _BLOCK_ROWS = 64
 _TREE_MAX_DIM = 4
 JITTER_SCALE = 1e-10
 
-EULER_GAMMA = 0.5772156649015328606
-
 
 def load_scipy():
     """Bind ``cKDTree`` and ``cdist`` on first use, keeping a name already bound.

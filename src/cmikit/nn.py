@@ -163,18 +163,11 @@ def mlp_init(arch: MlpArchitecture, seed: int) -> MlpClassifier:
 
 
 def _forward(c: MlpClassifier, x: np.ndarray):
-    """Forward pass on a batch; returns (per-layer inputs, pre-activations, logits)."""
+    """Forward pass on a batch; returns (per-layer inputs, logits)."""
     acts = [x]
-    pre = []
-    h = x
-    last = len(c.weights) - 1
-    for li, (w, b) in enumerate(zip(c.weights, c.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = z if li == last else np.maximum(z, 0.0)
-        if li != last:
-            acts.append(h)
-    return acts, pre, pre[-1][:, 0]
+    for w, b in zip(c.weights[:-1], c.biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    return acts, (acts[-1] @ c.weights[-1] + c.biases[-1])[:, 0]
 
 
 # Rows per block in predict_logit.  At the default 64-wide layers a 64-row
@@ -210,7 +203,7 @@ def predict_logit(c: MlpClassifier, x: np.ndarray) -> np.ndarray:
         # numpy sends a one-row product to gemv, whose sums differ from those
         # of gemm; a lone last row goes with the four rows before it instead
         lo = start - 4 if start and n - start == 1 else start
-        out[lo : start + _BLOCK_ROWS] = _forward(c, x[lo : start + _BLOCK_ROWS])[2]
+        out[lo : start + _BLOCK_ROWS] = _forward(c, x[lo : start + _BLOCK_ROWS])[1]
     return out
 
 
@@ -237,7 +230,7 @@ def _bce_objective(c: MlpClassifier, logit: np.ndarray, y: np.ndarray, l2: float
     return float(np.mean(softplus - y * logit)) + _l2_penalty(c, l2)
 
 
-def _backprop(c: MlpClassifier, acts, pre, dlogit, l2: float):
+def _backprop(c: MlpClassifier, acts, dlogit, l2: float):
     """Gradients of (objective + l2 * sum w^2) given d(objective)/d(logit)."""
     grads_w = [None] * len(c.weights)
     grads_b = [None] * len(c.biases)
@@ -246,15 +239,16 @@ def _backprop(c: MlpClassifier, acts, pre, dlogit, l2: float):
         grads_w[li] = acts[li].T @ delta + 2.0 * l2 * c.weights[li]
         grads_b[li] = delta.sum(axis=0)
         if li > 0:
-            delta = (delta @ c.weights[li].T) * (pre[li - 1] > 0)
+            # acts[li] = max(pre-activation, 0), so it is positive exactly where ReLU passes
+            delta = (delta @ c.weights[li].T) * (acts[li] > 0)
     return grads_w, grads_b
 
 
 def _bce_gradients(c: MlpClassifier, x: np.ndarray, y: np.ndarray, l2: float):
     """Logits of ``x`` and the gradients of mean BCE plus L2 penalty at labels ``y``."""
-    acts, pre, logit = _forward(c, x)
+    acts, logit = _forward(c, x)
     dlogit = (_sigmoid(logit) - y) / x.shape[0]
-    return logit, *_backprop(c, acts, pre, dlogit, l2)
+    return logit, *_backprop(c, acts, dlogit, l2)
 
 
 def loss_and_gradients(c: MlpClassifier, x: np.ndarray, labels: np.ndarray, l2: float = 0.0):
@@ -288,7 +282,7 @@ def adam_step(c: MlpClassifier, grads_w, grads_b, cfg: TrainConfig) -> None:
     c.params -= cfg.learning_rate * (st.m / c1) / (np.sqrt(st.v / c2) + ADAM_EPS)
 
 
-def _balanced_classes(pos, neg, seed: int):
+def _balanced_classes(pos, neg, arch: MlpArchitecture, seed: int):
     # Subsample the larger class so Pr(label=1) = 0.5 during training.
     pos = np.asarray(pos, dtype=np.float64)
     neg = np.asarray(neg, dtype=np.float64)
@@ -298,6 +292,8 @@ def _balanced_classes(pos, neg, seed: int):
         raise ValueError("pos and neg must be nonempty")
     if pos.shape[1] != neg.shape[1]:
         raise ValueError("pos and neg must have equal column counts")
+    if pos.shape[1] != arch.input_dim:
+        raise ValueError(f"data has {pos.shape[1]} columns, architecture expects {arch.input_dim}")
     n = min(pos.shape[0], neg.shape[0])
     rng = rng_from(seed, 1)
     if pos.shape[0] > n:
@@ -324,11 +320,7 @@ def train_binary_classifier(
     minibatch order is reseeded each epoch from ``seed``.  A step computes
     gradients only; divergence is checked once per epoch, on the full set.
     """
-    pos, neg = _balanced_classes(pos, neg, seed)
-    if pos.shape[1] != arch.input_dim:
-        raise ValueError(
-            f"data has {pos.shape[1]} columns, architecture expects {arch.input_dim}"
-        )
+    pos, neg = _balanced_classes(pos, neg, arch, seed)
     c = mlp_init(arch, derive_seed(seed, 0))
     x = np.vstack([pos, neg])
     y = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
@@ -354,35 +346,25 @@ def f_critic_objective(c: MlpClassifier, rows_p: np.ndarray, rows_q: np.ndarray)
 
 def _f_critic_gradients(c: MlpClassifier, bp: np.ndarray, bq: np.ndarray):
     # Gradients of the negated bound: -mean_p f + mean_q exp(f - 1).
-    acts, pre, logit = _forward(c, np.vstack([bp, bq]))
+    acts, logit = _forward(c, np.vstack([bp, bq]))
     np_, nq = bp.shape[0], bq.shape[0]
     dlogit = np.concatenate([-np.ones(np_) / np_, np.exp(logit[np_:] - 1.0) / nq])
-    return _backprop(c, acts, pre, dlogit, 0.0)
-
-
-F_CRITIC_TRAIN_DEFAULTS = TrainConfig(
-    batch_size=128, learning_rate=1e-4, adam_beta1=0.5, adam_beta2=0.999,
-    epochs=200, l2_coefficient=0.0,
-)
+    return _backprop(c, acts, dlogit, 0.0)
 
 
 def train_f_mine_critic(
-    pos: np.ndarray,
-    neg: np.ndarray,
-    cfg: TrainConfig = F_CRITIC_TRAIN_DEFAULTS,
-    hidden_layer_sizes: tuple[int, ...] = (64,),
-    seed: int = 0,
+    pos: np.ndarray, neg: np.ndarray, arch: MlpArchitecture, cfg: TrainConfig, seed: int = 0
 ) -> MlpClassifier:
     """Train an unconstrained critic maximizing E_pos[f] - E_neg[exp(f-1)].
 
     ``pos`` rows are the numerator distribution.  If the exponential blows up,
     training aborts at the end of that epoch with a diagnostic.  There is no
-    weight decay, so ``cfg.l2_coefficient`` must be 0.
+    weight decay, so ``cfg.l2_coefficient`` must be 0.  The critic route's
+    defaults are ``divergence.F_MINE_DIVERGENCE``.
     """
     if cfg.l2_coefficient != 0.0:
         raise ValueError(f"l2_coefficient is unused by the critic; set it to 0, got {cfg.l2_coefficient!r}")
-    pos, neg = _balanced_classes(pos, neg, seed)
-    arch = MlpArchitecture(pos.shape[1], hidden_layer_sizes)
+    pos, neg = _balanced_classes(pos, neg, arch, seed)
     c = mlp_init(arch, derive_seed(seed, 0))
     n = pos.shape[0]
     for epoch in range(cfg.epochs):

@@ -301,6 +301,30 @@ def test_ksg_refuses_a_config_file(workdir, small_file, capsys):
     assert "estimator" not in read_json(workdir / "ksg_cfg.csv.manifest.json")["config"]
 
 
+@pytest.mark.parametrize("method", ["ccmi", "gen-classifier", "f-mine-diff"])
+def test_a_classifier_method_refuses_k_before_any_work(workdir, small_file, monkeypatch, capsys, method):
+    monkeypatch.setattr(cli, "_load_input", _no_fit)
+    monkeypatch.setattr(cli, "generate", _no_fit)
+    out = workdir / "k_refused.json"
+    for argv in (["estimate", "--in", small_file], ["sweep", "--model", "linear-i", "--n-grid", 300, "--dz-grid", 1]):
+        for k in ("7", "abc"):
+            assert run_cli([*argv, "--method", method, "--k", k, "--out", out]) == 1
+            message = json.loads(capsys.readouterr().out)["error"]["message"]
+            assert "--k" in message and method in message
+            assert not out.exists()
+
+
+def test_sweep_echoes_k_only_for_ksg(workdir, capsys):
+    config = workdir / "k_echo_cfg.json"
+    config.write_text(json.dumps(ONE_EPOCH), encoding="utf-8")
+    for method, extra in (("ksg", []), ("ccmi", ["--config", config])):
+        out = workdir / f"k_echo_{method}.csv"
+        assert run_cli(["sweep", "--model", "linear-i", "--method", method, "--n-grid", 200, "--dz-grid", 1,
+                        *extra, "--out", out]) == 0
+        echoed = read_json(workdir / f"k_echo_{method}.csv.manifest.json")["config"]
+        assert echoed.get("k") == ([3] if method == "ksg" else None)
+
+
 def test_estimate_rejects_unknown_config_keys(workdir, small_file, capsys):
     config = workdir / "cfg_bad.json"
     config.write_text(json.dumps({"boostrap": 3}), encoding="utf-8")
@@ -326,8 +350,8 @@ def test_f_mine_config_file_keeps_the_critic_defaults_it_leaves_out(workdir, sma
                                "adam_beta2": 0.999, "epochs": 1, "l2_coefficient": 0.0}
 
 
-def _no_fit(fn, items):
-    raise AssertionError("training started before the config was validated")
+def _no_fit(*args, **kwargs):
+    raise AssertionError("work started before the input was validated")
 
 
 @pytest.mark.parametrize("config, field", [
@@ -492,6 +516,14 @@ def test_calibrate_refuses_a_field_it_does_not_read_before_training(workdir, mon
     assert not out.exists()
 
 
+def test_calibrate_checks_bins_before_training(workdir, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "train_binary_classifier", _no_fit)
+    out = workdir / "cal_bins_out.json"
+    assert run_cli(["calibrate", "--n", 600, "--d", 2, "--bins", 0, "--out", out]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == "--bins must be a positive integer, got 0"
+    assert not out.exists()
+
+
 # --- cit ---------------------------------------------------------------------
 
 def test_cit_benchmark_auroc(cit_paths):
@@ -545,6 +577,18 @@ def test_cit_rejects_a_field_nothing_reads_before_training(
     message = json.loads(capsys.readouterr().out)["error"]["message"]
     assert rc == 1
     assert message.startswith(parts[0]) and all(part in message for part in parts)
+
+
+@pytest.mark.parametrize("conf, message", [
+    ({"specs": 5}, "cit config must be a JSON object with a 'specs' list"),
+    ({"specs": [5]}, "specs[0] must be a JSON object"),
+])
+def test_cit_names_a_malformed_specs_list(workdir, monkeypatch, capsys, conf, message):
+    monkeypatch.setattr(divergence, "process_map", _no_fit)
+    config = workdir / "cit_malformed.json"
+    config.write_text(json.dumps(conf), encoding="utf-8")
+    assert run_cli(["cit", "--config", config, "--out", workdir / "cit_malformed_out.json"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == message
 
 
 def write_small_cit_config(path, estimator, n_specs=4, first_seed=900):

@@ -56,7 +56,7 @@ def test_golden_f_mine_critic_fit():
     cfg = TrainConfig(
         batch_size=32, learning_rate=1e-3, adam_beta1=0.5, epochs=5, l2_coefficient=0.0
     )
-    c = train_f_mine_critic(pos, neg, cfg, hidden_layer_sizes=(12,), seed=8)
+    c = train_f_mine_critic(pos, neg, MlpArchitecture(3, (12,)), cfg, seed=8)
     assert _parameter_digest(c) == "c8fe8da4bb7d48ac1dd58711ee0716fbb8c72a5723ecd92c4d22464bc41c85e3"
     assert repr(c.epoch_losses) == (
         "[2.5006896165049177, 2.4087740166789455, 2.3187606078654923, "

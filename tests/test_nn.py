@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from cmikit.data import derange_rows
+from cmikit.divergence import F_MINE_DIVERGENCE
 from cmikit.nn import (
-    F_CRITIC_TRAIN_DEFAULTS,
     AdamState,
     MlpArchitecture,
     MlpClassifier,
@@ -279,7 +279,7 @@ def test_f_critic_same_distribution_near_zero():
         batch_size=128, learning_rate=1e-4, adam_beta1=0.5, adam_beta2=0.999,
         epochs=60, l2_coefficient=0.0,
     )
-    c = train_f_mine_critic(pos, neg, cfg, seed=5)
+    c = train_f_mine_critic(pos, neg, MlpArchitecture(2, (64,)), cfg, seed=5)
     held_p = rng.normal(size=(1500, 2))
     held_q = rng.normal(size=(1500, 2))
     assert abs(f_critic_objective(c, held_p, held_q)) < 0.1
@@ -298,16 +298,25 @@ def test_f_critic_recovers_gaussian_divergence():
         batch_size=128, learning_rate=1e-4, adam_beta1=0.5, adam_beta2=0.999,
         epochs=200, l2_coefficient=0.0,
     )
-    c = train_f_mine_critic(joint[: n // 2], prod[: n // 2], cfg, seed=6)
+    c = train_f_mine_critic(joint[: n // 2], prod[: n // 2], MlpArchitecture(2, (64,)), cfg, seed=6)
     est = f_critic_objective(c, joint[n // 2 :], prod[n // 2 :])
     assert est == pytest.approx(0.22314355, abs=0.15)
 
 
 def test_f_critic_defaults_shape():
-    assert F_CRITIC_TRAIN_DEFAULTS.batch_size == 128
-    assert F_CRITIC_TRAIN_DEFAULTS.learning_rate == pytest.approx(1e-4)
-    assert F_CRITIC_TRAIN_DEFAULTS.adam_beta1 == pytest.approx(0.5)
-    assert F_CRITIC_TRAIN_DEFAULTS.epochs == 200
+    assert F_MINE_DIVERGENCE.train.batch_size == 128
+    assert F_MINE_DIVERGENCE.train.learning_rate == pytest.approx(1e-4)
+    assert F_MINE_DIVERGENCE.train.adam_beta1 == pytest.approx(0.5)
+    assert F_MINE_DIVERGENCE.train.epochs == 200
+
+
+@pytest.mark.parametrize("train", [train_binary_classifier, train_f_mine_critic])
+def test_trainers_refuse_data_wider_than_the_architecture(train):
+    rng = rng_from(41)
+    pos, neg = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
+    cfg = TrainConfig(epochs=1, l2_coefficient=0.0)
+    with pytest.raises(ValueError, match="^data has 3 columns, architecture expects 2$"):
+        train(pos, neg, MlpArchitecture(2, (4,)), cfg)
 
 
 def test_adam_state_fresh_is_zero():
@@ -358,7 +367,7 @@ def test_diverging_classifier_fit_is_reported_at_the_end_of_its_epoch():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_critic_fit_is_reported_at_the_end_of_its_epoch_with_advice():
     pos, neg = _diverging_classes()
-    cfg = dataclasses.replace(F_CRITIC_TRAIN_DEFAULTS, learning_rate=1e300, epochs=2)
+    cfg = dataclasses.replace(F_MINE_DIVERGENCE.train, learning_rate=1e300, epochs=2)
     with pytest.raises(TrainingDivergedError,
                        match="^non-finite loss at end of epoch 0; lower the learning rate or epochs$"):
-        train_f_mine_critic(pos, neg, cfg)
+        train_f_mine_critic(pos, neg, MlpArchitecture(2, (64,)), cfg)
