@@ -277,6 +277,8 @@ def cmd_sweep(args):
 
 def cmd_calibrate(args):
     check_count("--bins", args.bins)
+    if args.n < 4:  # a smaller n leaves one held-out row, which has no derangement
+        raise ValueError(f"--n must be at least 4, got {args.n}")
     cfg = _load_estimator_config(args.config)
     for name in ("bootstrap", "generator_k", "truncate_negative", "divergence.inner_iterations", "divergence.clip"):
         keys = name.split(".")

@@ -138,8 +138,10 @@ class MlpClassifier:
     changes the classifier.  Build one with :func:`mlp_init` only.
 
     Mutated only while its owning training loop runs; treat as immutable
-    afterwards.  ``epoch_losses`` records the full-training-set objective
-    after each epoch, computed by a forward pass alone.
+    afterwards.  ``epoch_losses`` records each epoch's training objective,
+    taken from the logits its own steps computed: every row as its step
+    scored it, plus the L2 penalty at the epoch's end.  No fit runs a
+    full-set forward pass.
     """
 
     architecture: MlpArchitecture
@@ -173,11 +175,12 @@ def _forward(c: MlpClassifier, x: np.ndarray):
 # Rows per block in predict_logit.  At the default 64-wide layers a 64-row
 # block's largest product is 64*64*64 multiply-adds, well under the size at
 # which OpenBLAS 0.3.31 hands a product to its worker thread (between 983040
-# and 1044480 multiply-adds, measured on 2 cores), so evaluation never wakes
-# that thread, which would then spin between epochs.  Block starts must be
-# multiples of 4 rows for the logits to keep the bits of a one-shot forward:
-# on OpenBLAS, blocks of 16, 32, 64, 100, 128 and 256 rows match it with any
-# ragged tail of two or more rows; 50 and 186 do not.
+# and 1044480 multiply-adds, measured on 2 cores), so scoring never wakes that
+# thread, which would then spin beside the work that follows.  No fit calls
+# it: an epoch's loss comes from the logits of its own steps.  Block
+# starts must be multiples of 4 rows for the logits to keep the bits of a
+# one-shot forward: on OpenBLAS, blocks of 16, 32, 64, 100, 128 and 256 rows
+# match it with any ragged tail of two or more rows; 50 and 186 do not.
 _BLOCK_ROWS = 64
 
 
@@ -317,39 +320,44 @@ def train_binary_classifier(
 
     Minimizes BCE + L2 over shuffled minibatches with Adam for a fixed number
     of epochs.  Classes are balanced by subsampling the larger one; the
-    minibatch order is reseeded each epoch from ``seed``.  A step computes
-    gradients only; divergence is checked once per epoch, on the full set.
+    minibatch order is reseeded each epoch from ``seed``.  An epoch's loss is
+    taken from the logits of its own steps, and divergence is checked on that
+    loss and the parameters at the end of each epoch; no full-set pass runs.
     """
     pos, neg = _balanced_classes(pos, neg, arch, seed)
     c = mlp_init(arch, derive_seed(seed, 0))
     x = np.vstack([pos, neg])
     y = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
     n = x.shape[0]
+    logits = np.empty(n)  # each row's logit as its step scored it, in the epoch's order
     for epoch in range(cfg.epochs):
         perm = rng_from(seed, 2, epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             sl = perm[start : start + cfg.batch_size]
-            _, gw, gb = _bce_gradients(c, x[sl], y[sl], cfg.l2_coefficient)
+            logits[start : start + cfg.batch_size], gw, gb = _bce_gradients(c, x[sl], y[sl], cfg.l2_coefficient)
             adam_step(c, gw, gb, cfg)
-        full = _bce_objective(c, predict_logit(c, x), y, cfg.l2_coefficient)
-        _check_finite(c, full, f"end of epoch {epoch}")
-        c.epoch_losses.append(full)
+        loss = _bce_objective(c, logits, y[perm], cfg.l2_coefficient)
+        _check_finite(c, loss, f"end of epoch {epoch}")
+        c.epoch_losses.append(loss)
     return c
 
 
 def f_critic_objective(c: MlpClassifier, rows_p: np.ndarray, rows_q: np.ndarray) -> float:
     """Value of the f-divergence lower bound E_p[f] - E_q[exp(f - 1)] for critic f."""
-    fp = predict_logit(c, rows_p)
-    fq = predict_logit(c, rows_q)
+    return _f_bound(predict_logit(c, rows_p), predict_logit(c, rows_q))
+
+
+def _f_bound(fp: np.ndarray, fq: np.ndarray) -> float:
     return float(np.mean(fp) - np.mean(np.exp(fq - 1.0)))
 
 
 def _f_critic_gradients(c: MlpClassifier, bp: np.ndarray, bq: np.ndarray):
-    # Gradients of the negated bound: -mean_p f + mean_q exp(f - 1).
+    """Logits of ``bp`` then ``bq``, stacked, and the gradients of the negated
+    bound -mean_p f + mean_q exp(f - 1)."""
     acts, logit = _forward(c, np.vstack([bp, bq]))
     np_, nq = bp.shape[0], bq.shape[0]
     dlogit = np.concatenate([-np.ones(np_) / np_, np.exp(logit[np_:] - 1.0) / nq])
-    return _backprop(c, acts, dlogit, 0.0)
+    return logit, *_backprop(c, acts, dlogit, 0.0)
 
 
 def train_f_mine_critic(
@@ -357,8 +365,10 @@ def train_f_mine_critic(
 ) -> MlpClassifier:
     """Train an unconstrained critic maximizing E_pos[f] - E_neg[exp(f-1)].
 
-    ``pos`` rows are the numerator distribution.  If the exponential blows up,
-    training aborts at the end of that epoch with a diagnostic.  There is no
+    ``pos`` rows are the numerator distribution.  An epoch's loss, the negated
+    bound, is taken from the logits of its own steps; no full-set pass runs.
+    If the exponential blows up, the loss or the parameters turn non-finite
+    and training aborts at the end of that epoch with a diagnostic.  There is no
     weight decay, so ``cfg.l2_coefficient`` must be 0.  The critic route's
     defaults are ``divergence.F_MINE_DIVERGENCE``.
     """
@@ -367,6 +377,7 @@ def train_f_mine_critic(
     pos, neg = _balanced_classes(pos, neg, arch, seed)
     c = mlp_init(arch, derive_seed(seed, 0))
     n = pos.shape[0]
+    logits = np.empty((2, n))  # p and q logits as their steps scored them, in the epoch's order
     for epoch in range(cfg.epochs):
         rng = rng_from(seed, 2, epoch)
         perm_p = rng.permutation(n)
@@ -374,8 +385,10 @@ def train_f_mine_critic(
         for start in range(0, n, cfg.batch_size):
             bp = pos[perm_p[start : start + cfg.batch_size]]
             bq = neg[perm_q[start : start + cfg.batch_size]]
-            adam_step(c, *_f_critic_gradients(c, bp, bq), cfg)
-        full = -f_critic_objective(c, pos, neg)
-        _check_finite(c, full, f"end of epoch {epoch}; lower the learning rate or epochs")
-        c.epoch_losses.append(full)
+            logit, gw, gb = _f_critic_gradients(c, bp, bq)
+            logits[:, start : start + cfg.batch_size] = logit.reshape(2, -1)
+            adam_step(c, gw, gb, cfg)
+        loss = -_f_bound(logits[0], logits[1])
+        _check_finite(c, loss, f"end of epoch {epoch}; lower the learning rate or epochs")
+        c.epoch_losses.append(loss)
     return c

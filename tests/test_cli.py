@@ -524,6 +524,15 @@ def test_calibrate_checks_bins_before_training(workdir, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [3, 0])
+def test_calibrate_checks_n_before_generating_data(workdir, monkeypatch, capsys, n):
+    monkeypatch.setattr(cli, "gen_gauss_corr", _no_fit)
+    out = workdir / "cal_n_out.json"
+    assert run_cli(["calibrate", "--n", n, "--d", 2, "--out", out]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == f"--n must be at least 4, got {n}"
+    assert not out.exists()
+
+
 # --- cit ---------------------------------------------------------------------
 
 def test_cit_benchmark_auroc(cit_paths):

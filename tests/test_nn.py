@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from cmikit import nn
 from cmikit.data import derange_rows
 from cmikit.divergence import F_MINE_DIVERGENCE
 from cmikit.nn import (
@@ -26,7 +27,7 @@ from cmikit.nn import (
     train_binary_classifier,
     train_f_mine_critic,
 )
-from cmikit.seeding import rng_from
+from cmikit.seeding import derive_seed, rng_from
 
 
 def test_architecture_validation():
@@ -179,7 +180,7 @@ def test_critic_gradient_matches_finite_differences():
     rng = rng_from(22)
     bp = rng.normal(size=(7, 3))
     bq = rng.normal(0.5, 1.0, size=(5, 3))
-    gw, gb = _f_critic_gradients(c, bp, bq)
+    _, gw, gb = _f_critic_gradients(c, bp, bq)
     assert _finite_difference_agreement(c, gw, gb, lambda: -f_critic_objective(c, bp, bq)) >= 0.99
 
 
@@ -317,6 +318,45 @@ def test_trainers_refuse_data_wider_than_the_architecture(train):
     cfg = TrainConfig(epochs=1, l2_coefficient=0.0)
     with pytest.raises(ValueError, match="^data has 3 columns, architecture expects 2$"):
         train(pos, neg, MlpArchitecture(2, (4,)), cfg)
+
+
+@pytest.mark.parametrize("train", [train_binary_classifier, train_f_mine_critic])
+def test_a_fit_forwards_each_training_row_once_per_epoch(train, monkeypatch):
+    # unequal classes: 2 * 50 rows are trained on, in batches with a ragged tail
+    rng = rng_from(43)
+    pos, neg = rng.normal(size=(70, 2)), rng.normal(size=(50, 2))
+    forwarded = []
+    forward = nn._forward
+
+    def counting_forward(c, x):
+        forwarded.append(x.shape[0])
+        return forward(c, x)
+
+    monkeypatch.setattr(nn, "_forward", counting_forward)
+    train(pos, neg, MlpArchitecture(2, (4,)), TrainConfig(batch_size=16, epochs=3, l2_coefficient=0.0), seed=5)
+    assert sum(forwarded) == 3 * 100
+
+
+def _one_step_epochs(rng, rows):
+    # classes of equal size, so the fit trains on exactly these rows, in one step per epoch
+    pos, neg = rng.normal(0.5, 1.0, size=(rows, 2)), rng.normal(-0.5, 1.0, size=(rows, 2))
+    return pos, neg, MlpArchitecture(2, (8,)), TrainConfig(batch_size=2 * rows, epochs=2, l2_coefficient=0.0)
+
+
+def test_classifier_epoch_loss_is_the_objective_its_steps_scored():
+    # epoch 0's one step scored every row with the freshly initialised net
+    pos, neg, arch, cfg = _one_step_epochs(rng_from(44), 40)
+    c = train_binary_classifier(pos, neg, arch, cfg, seed=6)
+    fresh = mlp_init(arch, derive_seed(6, 0))
+    loss = loss_and_gradients(fresh, np.vstack([pos, neg]), np.concatenate([np.ones(40), np.zeros(40)]))[0]
+    assert c.epoch_losses[0] == pytest.approx(loss, abs=1e-12)
+
+
+def test_critic_epoch_loss_is_the_objective_its_steps_scored():
+    pos, neg, arch, cfg = _one_step_epochs(rng_from(45), 40)
+    c = train_f_mine_critic(pos, neg, arch, cfg, seed=7)
+    fresh = mlp_init(arch, derive_seed(7, 0))
+    assert c.epoch_losses[0] == pytest.approx(-f_critic_objective(fresh, pos, neg), abs=1e-12)
 
 
 def test_adam_state_fresh_is_zero():
