@@ -14,7 +14,6 @@ from .data import SampleSet
 from .datagen import generate
 from .estimators import EstimatorConfig, mi_diff_cmi
 from .knn import process_map
-from .nn import MlpClassifier, predict_proba
 from .seeding import derive_seed
 
 __all__ = [
@@ -142,19 +141,17 @@ def benchmark_csv(bench: CitBenchmark) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reliability_curve(
-    classifier: MlpClassifier, eval_rows, eval_labels, bins: int = 10
-) -> ReliabilityCurve:
-    """Bin predicted probabilities and compare with empirical frequencies."""
-    rows = np.asarray(eval_rows, dtype=np.float64)
-    labels = np.asarray(eval_labels, dtype=np.float64).ravel()
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ValueError("eval_rows must be a nonempty row matrix")
-    if labels.size != rows.shape[0]:
-        raise ValueError("one label per evaluation row")
+def reliability_curve(probs, labels, bins: int = 10) -> ReliabilityCurve:
+    """Bin predicted probabilities of class 1 and compare each bin with the
+    share of its rows labeled 1."""
+    probs = np.asarray(probs, dtype=np.float64).ravel()
+    labels = np.asarray(labels, dtype=np.float64).ravel()
+    if probs.size == 0 or labels.size != probs.size:
+        raise ValueError("probs and labels must be nonempty and aligned, one label per probability")
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # nan fails both comparisons
+        raise ValueError("probs must be finite and lie in [0, 1]")
     if bins < 1:
         raise ValueError("bins must be positive")
-    probs = predict_proba(classifier, rows)
     edges = np.linspace(0.0, 1.0, bins + 1)
     idx = np.minimum((probs * bins).astype(int), bins - 1)
     counts, mean_pred, pos_frac = [], [], []

@@ -24,16 +24,16 @@ from . import __version__
 from .cit import benchmark_csv, reliability_curve, run_cit_benchmark
 from .data import load_csv, write_csv
 from .datagen import KIND_FIELDS, MODEL_KINDS, ModelSpec, dataset_metadata, gen_gauss_corr, generate
-from .divergence import derange_split
 from .estimators import (
     F_MINE_CONFIG,
     EstimatorConfig,
+    _classifier_mi_logits,
     f_mine_diff_cmi,
     generator_classifier_cmi,
     mi_diff_cmi,
 )
 from .knn import ksg_cmi_sweep, ksg_mi, load_scipy, process_map
-from .nn import MlpArchitecture, check_count, check_type, predict_proba, train_binary_classifier
+from .nn import _sigmoid, check_count, check_type
 from .seeding import derive_seed
 
 __all__ = ["main"]
@@ -277,24 +277,23 @@ def cmd_sweep(args):
 
 def cmd_calibrate(args):
     check_count("--bins", args.bins)
+    check_count("--d", args.d)
     if args.n < 4:  # a smaller n leaves one held-out row, which has no derangement
         raise ValueError(f"--n must be at least 4, got {args.n}")
+    if not -1.0 < args.rho < 1.0:
+        raise ValueError(f"--rho must lie in (-1, 1), got {args.rho!r}")
     cfg = _load_estimator_config(args.config)
-    for name in ("bootstrap", "generator_k", "truncate_negative", "divergence.inner_iterations", "divergence.clip"):
+    for name in ("generator_k", "truncate_negative", "divergence.clip"):
         keys = name.split(".")
         if functools.reduce(getattr, keys, cfg) != functools.reduce(getattr, keys, EstimatorConfig()):
-            raise ValueError(f"{name} is not read by calibrate, which reads only the net shape and training")
+            raise ValueError(f"{name} is not read by calibrate, which reads the net shape, training, "
+                             "bootstrap and inner_iterations")
     d, truth = gen_gauss_corr(args.d, args.rho, args.n, derive_seed(args.seed, 81))
-    joint = np.hstack([d.x, d.y])
-    tr, q_tr, ev, q_ev = derange_split(
-        joint, d.dx, derive_seed(args.seed, 82), derive_seed(args.seed, 83), derive_seed(args.seed, 84)
-    )
-    arch = MlpArchitecture(joint.shape[1], cfg.divergence.hidden_layer_sizes)
-    c = train_binary_classifier(tr, q_tr, arch, cfg.divergence.train, derive_seed(args.seed, 85))
-    rows = np.vstack([ev, q_ev])
-    labels = np.concatenate([np.ones(len(ev)), np.zeros(len(q_ev))])
-    curve = reliability_curve(c, rows, labels, bins=args.bins)
-    probs = predict_proba(c, rows)
+    fits = [f for rnd in _classifier_mi_logits(d.x, d.y, cfg, derive_seed(args.seed, 82)) for f in rnd]
+    lp, lq = (np.concatenate(side) for side in zip(*fits))  # every joint row's logit, every rewired row's
+    probs = _sigmoid(np.concatenate([lp, lq]))
+    labels = np.concatenate([np.ones(lp.size), np.zeros(lq.size)])
+    curve = reliability_curve(probs, labels, bins=args.bins)
     payload = {
         "command": "calibrate",
         "seed": args.seed,
@@ -302,7 +301,7 @@ def cmd_calibrate(args):
         "rho": args.rho,
         "n": args.n,
         "true_mi": truth.value,
-        "n_eval": len(rows),
+        "n_eval": probs.size,
         "accuracy": float(np.mean((probs > 0.5) == (labels > 0.5))),
         "bin_edges": curve.bin_edges,
         "mean_predicted": curve.mean_predicted,
@@ -382,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--rho", type=float, default=0.5)
     cal.add_argument("--n", type=int, default=5000)
     cal.add_argument("--bins", type=int, default=10)
-    cal.add_argument("--config", default=None, help="estimator config JSON (net shape, training)")
+    cal.add_argument("--config", default=None,
+                     help="estimator config JSON (net shape, training, bootstrap, inner_iterations)")
     _add_common(cal)
     cal.set_defaults(func=cmd_calibrate, parser=cal)
     return parser

@@ -1,30 +1,23 @@
 """Two-sample KL divergence estimation.
 
-Both routes rate how far apart two sample sets are in nats.  The classifier
-route trains a binary discriminator, converts its predicted probabilities to
-likelihood ratios, and evaluates the variational plug-in on held-out halves.
-The critic route trains an unconstrained scalar function against the
-exponential-moment lower bound.  Either way the returned value is a mean
-over independently re-split inner iterations, which share nothing but the
-input and run through ``knn.process_map``.
+One loop, ``_held_out_logits``, runs every held-out fit in the package: it
+splits, standardizes on the training rows, trains the model its caller
+names and returns its logits on the held-out rows.  The caller reduces
+them: a classifier's through probabilities to the clipped variational
+plug-in, a critic's straight into the exponential-moment lower bound.  The
+estimate is a mean over independently re-split inner iterations, which
+share nothing but the input and run through ``knn.process_map``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import derange_rows, split_rows
+from .data import split_rows
 from .knn import process_map
-from .nn import (
-    MlpArchitecture,
-    TrainConfig,
-    check_count,
-    f_critic_objective,
-    predict_proba,
-    train_binary_classifier,
-    train_f_mine_critic,
-)
-from .seeding import derive_seed, rng_from
+from .nn import (MlpArchitecture, TrainConfig, _f_bound, _sigmoid, check_count, predict_logit,
+                 train_binary_classifier, train_f_mine_critic)
+from .seeding import derive_seed
 
 __all__ = [
     "DivergenceConfig",
@@ -123,35 +116,49 @@ def _check_pair(dp, dq):
     return dp, dq
 
 
-def _held_out_divergence(split, cfg: DivergenceConfig, seed: int, namespace: int, route: str) -> DivergenceEstimate:
-    """Mean over ``cfg.inner_iterations`` of a divergence scored on held-out rows.
+def _held_out_logits(split, cfg: DivergenceConfig, seed: int, namespace: int, train) -> list:
+    """Held-out ``(p_ev, q_ev)`` logits of each of ``cfg.inner_iterations`` fits.
 
     ``split(it_seed)`` returns the (p_tr, q_tr, p_ev, q_ev) rows of inner
     iteration t, seeded from ``seed`` and t.  A standardizer fit on the training
-    rows maps all four, a fresh model trains on the training rows, and the
-    held-out rows score it: the clipped plug-in and accuracy on the
-    ``"classifier"`` route, the exponential-moment objective and nan accuracy
-    on the ``"critic"`` route.  The iterations run through ``process_map``.
+    rows maps all four, ``train`` fits a fresh model on the training rows, and
+    its logits on the held-out rows come back.  The iterations run through
+    ``process_map``; the caller reduces their logits (``_plugin_estimate``,
+    ``_critic_estimate``).  Callers look ``train`` up when they call, so a
+    patched module attribute, as perfbench's tracer installs, sees every fit.
     """
-    if route == "critic" and cfg.clip != DivergenceConfig.clip:  # the critic has no probabilities
-        raise ValueError(f"clip is unused by the critic route; leave it at its default, got {cfg.clip!r}")
 
-    def iteration(t):  # (value, accuracy) of inner iteration t
+    def iteration(t):
         it_seed = derive_seed(seed, namespace, t)
         p_tr, q_tr, p_ev, q_ev = split(it_seed)
         norm = fit_standardizer(np.vstack([p_tr, q_tr]))
         p_tr, q_tr, p_ev, q_ev = norm(p_tr), norm(q_tr), norm(p_ev), norm(q_ev)
         arch = MlpArchitecture(p_tr.shape[1], cfg.hidden_layer_sizes)
-        train = train_f_mine_critic if route == "critic" else train_binary_classifier
         c = train(p_tr, q_tr, arch, cfg.train, derive_seed(it_seed, 3))
-        if route == "critic":
-            return f_critic_objective(c, p_ev, q_ev), float("nan")
-        gp, gq = predict_proba(c, p_ev), predict_proba(c, q_ev)
-        acc = float(np.sum(gp > 0.5) + np.sum(gq <= 0.5)) / (gp.size + gq.size)
-        return dv_plugin(gp, gq, cfg.clip), acc
+        return predict_logit(c, p_ev), predict_logit(c, q_ev)
 
-    values, accs = zip(*process_map(iteration, range(cfg.inner_iterations)))
+    return process_map(iteration, range(cfg.inner_iterations))
+
+
+def _plugin_estimate(fits, clip: float) -> DivergenceEstimate:
+    """Clipped plug-in and accuracy of each classifier fit's held-out probabilities."""
+    values, accs = [], []
+    for lp, lq in fits:
+        gp, gq = _sigmoid(lp), _sigmoid(lq)
+        values.append(dv_plugin(gp, gq, clip))
+        accs.append(float(np.sum(gp > 0.5) + np.sum(gq <= 0.5)) / (gp.size + gq.size))
     return DivergenceEstimate(float(np.mean(values)), values, float(np.mean(accs)))
+
+
+def _critic_estimate(fits) -> DivergenceEstimate:
+    """Exponential-moment bound of each critic fit's held-out logits; accuracy is nan."""
+    values = [_f_bound(lp, lq) for lp, lq in fits]
+    return DivergenceEstimate(float(np.mean(values)), values, float("nan"))
+
+
+def _check_critic_clip(cfg: DivergenceConfig) -> None:
+    if cfg.clip != DivergenceConfig.clip:  # the critic has no probabilities
+        raise ValueError(f"clip is unused by the critic; leave it at its default, got {cfg.clip!r}")
 
 
 def _split_each(dp, dq, it_seed):
@@ -167,19 +174,6 @@ def _split_paired(stacked, d, it_seed):
     return tr[:, :d], tr[:, d:], ev[:, :d], ev[:, d:]
 
 
-def derange_split(joint, dx, split_seed, train_seed, eval_seed):
-    """Split ``joint`` rows 50/50, then stand in for the product of marginals.
-
-    Within each half, the columns after the first ``dx`` are re-paired with
-    the first ``dx`` by a fixed-point-free permutation.  Returns
-    (p_tr, q_tr, p_ev, q_ev): each half as observed and as re-paired.
-    """
-    p_tr, p_ev = split_rows(joint, split_seed)
-    q_tr = np.hstack([p_tr[:, :dx], derange_rows(p_tr[:, dx:], rng_from(train_seed))])
-    q_ev = np.hstack([p_ev[:, :dx], derange_rows(p_ev[:, dx:], rng_from(eval_seed))])
-    return p_tr, q_tr, p_ev, q_ev
-
-
 def classifier_dkl(dp, dq, cfg: DivergenceConfig = DivergenceConfig(), seed: int = 0) -> DivergenceEstimate:
     """KL divergence of the dp distribution from the dq distribution.
 
@@ -188,7 +182,8 @@ def classifier_dkl(dp, dq, cfg: DivergenceConfig = DivergenceConfig(), seed: int
     the plug-in on the held-out halves with clipped probabilities.
     """
     dp, dq = _check_pair(dp, dq)
-    return _held_out_divergence(lambda s: _split_each(dp, dq, s), cfg, seed, 21, "classifier")
+    fits = _held_out_logits(lambda s: _split_each(dp, dq, s), cfg, seed, 21, train_binary_classifier)
+    return _plugin_estimate(fits, cfg.clip)
 
 
 def classifier_dkl_paired(dp, dq, cfg: DivergenceConfig = DivergenceConfig(), seed: int = 0) -> DivergenceEstimate:
@@ -205,10 +200,11 @@ def classifier_dkl_paired(dp, dq, cfg: DivergenceConfig = DivergenceConfig(), se
     if dp.shape[0] != dq.shape[0]:
         raise ValueError("paired splitting needs equal row counts")
     stacked = np.hstack([dp, dq])
-    return _held_out_divergence(lambda s: _split_paired(stacked, dp.shape[1], s), cfg, seed, 23, "classifier")
+    fits = _held_out_logits(lambda s: _split_paired(stacked, dp.shape[1], s), cfg, seed, 23, train_binary_classifier)
+    return _plugin_estimate(fits, cfg.clip)
 
 
-# Critic-route defaults: one 64-unit hidden layer, long low-rate training, no weight decay.
+# The critic's defaults: one 64-unit hidden layer, long low-rate training, no weight decay.
 F_MINE_DIVERGENCE = DivergenceConfig(
     hidden_layer_sizes=(64,),
     train=TrainConfig(batch_size=128, learning_rate=1e-4, adam_beta1=0.5, epochs=200, l2_coefficient=0.0),
@@ -224,4 +220,5 @@ def f_mine_dkl(dp, dq, cfg: DivergenceConfig = F_MINE_DIVERGENCE, seed: int = 0)
     the accuracy diagnostic is reported as nan.
     """
     dp, dq = _check_pair(dp, dq)
-    return _held_out_divergence(lambda s: _split_each(dp, dq, s), cfg, seed, 22, "critic")
+    _check_critic_clip(cfg)
+    return _critic_estimate(_held_out_logits(lambda s: _split_each(dp, dq, s), cfg, seed, 22, train_f_mine_critic))

@@ -12,17 +12,12 @@ from typing import Callable
 
 import numpy as np
 
-from .data import SampleSet, split_half
-from .divergence import (
-    DivergenceConfig,
-    F_MINE_DIVERGENCE,
-    _held_out_divergence,
-    classifier_dkl_paired,
-    derange_split,
-)
+from .data import SampleSet, derange_rows, split_half, split_rows
+from .divergence import (DivergenceConfig, F_MINE_DIVERGENCE, _check_critic_clip, _critic_estimate,
+                         _held_out_logits, _plugin_estimate, classifier_dkl_paired)
 from .knn import knn_permute_apply, load_scipy, process_map
-from .nn import TrainingDivergedError, check_count
-from .seeding import derive_seed
+from .nn import TrainingDivergedError, check_count, train_binary_classifier, train_f_mine_critic
+from .seeding import derive_seed, rng_from
 
 __all__ = [
     "EstimatorConfig",
@@ -86,13 +81,14 @@ def _finish(value: float, cfg: EstimatorConfig, components=None, per_bootstrap=(
     return CmiEstimate(float(value), components, per_bootstrap)
 
 
-def _mi_via(route: str, x, y, cfg: EstimatorConfig, seed: int) -> CmiEstimate:
-    """I(X;Y) as the divergence of the observed (x, y) pairing from a rewired one.
+def _mi_logits(x, y, cfg: EstimatorConfig, seed: int, namespace: int, train) -> list:
+    """Held-out logits of every fit behind an I(X;Y) estimate, one list per bootstrap round.
 
+    Each fit discriminates the observed (x, y) pairing from a rewired one.
     The train/eval split happens first; each part then gets its own
     fixed-point-free repairing of the y rows against x to stand in for the
     product of marginals.  Every underlying draw stays on a single side of
-    the fence in both pairings, so the held-out plug-in is free of
+    the fence in both pairings, so the held-out scores are free of
     memorization bias.
     """
     if cfg.generator_k != EstimatorConfig.generator_k:
@@ -102,13 +98,19 @@ def _mi_via(route: str, x, y, cfg: EstimatorConfig, seed: int) -> CmiEstimate:
         raise ValueError("need at least 4 samples")
     joint = np.hstack([d.x, d.y])
 
-    def split(s):
-        return derange_split(joint, d.dx, derive_seed(s, 1), derive_seed(s, 2), derive_seed(s, 4))
+    def split(s):  # each half as observed, then with its y rows deranged against its x rows
+        p_tr, p_ev = split_rows(joint, derive_seed(s, 1))
+        q_tr = np.hstack([p_tr[:, : d.dx], derange_rows(p_tr[:, d.dx :], rng_from(derive_seed(s, 2)))])
+        q_ev = np.hstack([p_ev[:, : d.dx], derange_rows(p_ev[:, d.dx :], rng_from(derive_seed(s, 4)))])
+        return p_tr, q_tr, p_ev, q_ev
 
     seeds = [derive_seed(derive_seed(seed, 31, i), 2) for i in range(cfg.bootstrap or 1)]
-    namespace = 21 if route == "classifier" else 22
-    vals = [_held_out_divergence(split, cfg.divergence, s, namespace, route).value for s in seeds]
-    return _finish(float(np.mean(vals)), cfg, per_bootstrap=vals)
+    return [_held_out_logits(split, cfg.divergence, s, namespace, train) for s in seeds]
+
+
+def _classifier_mi_logits(x, y, cfg: EstimatorConfig, seed: int) -> list:
+    """The held-out (joint, rewired) logits behind ``classifier_mi(x, y, cfg, seed)``."""
+    return _mi_logits(x, y, cfg, seed, 21, train_binary_classifier)
 
 
 def classifier_mi(x, y, cfg: EstimatorConfig = EstimatorConfig(), seed: int = 0) -> CmiEstimate:
@@ -119,12 +121,15 @@ def classifier_mi(x, y, cfg: EstimatorConfig = EstimatorConfig(), seed: int = 0)
     train/eval split, separately within each part, so nothing the
     discriminator saw in training reappears at evaluation.
     """
-    return _mi_via("classifier", x, y, cfg, seed)
+    vals = [_plugin_estimate(fits, cfg.divergence.clip).value for fits in _classifier_mi_logits(x, y, cfg, seed)]
+    return _finish(float(np.mean(vals)), cfg, per_bootstrap=vals)
 
 
 def f_mine_mi(x, y, cfg: EstimatorConfig = F_MINE_CONFIG, seed: int = 0) -> CmiEstimate:
     """I(X;Y) via the critic lower bound instead of the classifier plug-in."""
-    return _mi_via("critic", x, y, cfg, seed)
+    _check_critic_clip(cfg.divergence)
+    vals = [_critic_estimate(fits).value for fits in _mi_logits(x, y, cfg, seed, 22, train_f_mine_critic)]
+    return _finish(float(np.mean(vals)), cfg, per_bootstrap=vals)
 
 
 def _diff_cmi(mi: Callable, d: SampleSet, cfg: EstimatorConfig, seed: int) -> CmiEstimate:

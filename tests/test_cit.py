@@ -192,7 +192,7 @@ def test_reliability_curve_tracks_synthetic_oracle():
     c, rows = trained_discriminator()
     probs = predict_proba(c, rows)
     labels = (rng_from(11).random(len(rows)) < probs).astype(float)
-    curve = reliability_curve(c, rows, labels)
+    curve = reliability_curve(probs, labels)
     assert sum(curve.counts) == len(rows)
     for pred, frac, count in zip(curve.mean_predicted, curve.positive_fraction, curve.counts):
         if count > 0:
@@ -206,7 +206,7 @@ def test_reliability_curve_constant_prediction():
     for b in c.biases:
         b[:] = 0.0
     labels = np.repeat([1.0, 0.0], len(rows) // 2)
-    curve = reliability_curve(c, rows[: 2 * (len(rows) // 2)], labels)
+    curve = reliability_curve(predict_proba(c, rows[: 2 * (len(rows) // 2)]), labels)
     occupied = [i for i, n in enumerate(curve.counts) if n > 0]
     assert occupied == [5]
     assert curve.positive_fraction[5] == pytest.approx(0.5, abs=0.01)
@@ -215,9 +215,13 @@ def test_reliability_curve_constant_prediction():
 
 def test_reliability_curve_validation():
     c, rows = trained_discriminator()
+    probs = predict_proba(c, rows)
     with pytest.raises(ValueError):
-        reliability_curve(c, np.empty((0, 20)), [])
+        reliability_curve(predict_proba(c, np.empty((0, 20))), [])
     with pytest.raises(ValueError):
-        reliability_curve(c, rows, np.ones(3))
+        reliability_curve(probs, np.ones(3))
     with pytest.raises(ValueError):
-        reliability_curve(c, rows, np.ones(len(rows)), bins=0)
+        reliability_curve(probs, np.ones(len(rows)), bins=0)
+    for bad in (np.nan, 1.5, -0.1):  # 1.5 would land in the top bin, -0.1 in none
+        with pytest.raises(ValueError, match="probs"):
+            reliability_curve(np.r_[probs[:-1], bad], np.ones(len(rows)))

@@ -16,12 +16,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cmikit import cli, divergence
+from cmikit import cli, divergence, estimators
 from cmikit.cli import _sha256, main
 from cmikit.data import load_csv
 from cmikit.datagen import ModelSpec, generate
+from cmikit.divergence import dv_plugin
+from cmikit.estimators import classifier_mi
+from cmikit.nn import _sigmoid
 
 LINEAR_I_TRUTH = 0.5 * math.log(1.0 + 1.0 / 0.1**2)
 
@@ -267,7 +271,6 @@ def test_estimate_reruns_are_byte_identical(workdir, small_file):
 
 def test_seed_comes_from_the_flag_alone(workdir, small_file, monkeypatch, capsys):
     monkeypatch.setattr(divergence, "process_map", _no_fit)
-    monkeypatch.setattr(cli, "train_binary_classifier", _no_fit)
     config, cit_config = workdir / "cfg_seeded.json", workdir / "cit_seeded.json"
     config.write_text(json.dumps({"seed": 9}), encoding="utf-8")
     write_small_cit_config(cit_config, {"seed": 9})
@@ -499,14 +502,12 @@ def test_every_config_leaf_acts(workdir, null_file, capsys, target, start):
 
 
 @pytest.mark.parametrize("config, field", [
-    ({"bootstrap": 2}, "bootstrap"),
+    ({"divergence": {"clip": 0.4}}, "divergence.clip"),
     ({"generator_k": 3}, "generator_k"),
     ({"truncate_negative": True}, "truncate_negative"),
-    ({"divergence": {"inner_iterations": 3}}, "divergence.inner_iterations"),
-    ({"divergence": {"clip": 0.4}}, "divergence.clip"),
 ])
 def test_calibrate_refuses_a_field_it_does_not_read_before_training(workdir, monkeypatch, capsys, config, field):
-    monkeypatch.setattr(cli, "train_binary_classifier", _no_fit)
+    monkeypatch.setattr(divergence, "process_map", _no_fit)
     path = workdir / "cal_ignored.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     out = workdir / "cal_ignored_out.json"
@@ -517,7 +518,7 @@ def test_calibrate_refuses_a_field_it_does_not_read_before_training(workdir, mon
 
 
 def test_calibrate_checks_bins_before_training(workdir, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "train_binary_classifier", _no_fit)
+    monkeypatch.setattr(divergence, "process_map", _no_fit)
     out = workdir / "cal_bins_out.json"
     assert run_cli(["calibrate", "--n", 600, "--d", 2, "--bins", 0, "--out", out]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["message"] == "--bins must be a positive integer, got 0"
@@ -530,6 +531,20 @@ def test_calibrate_checks_n_before_generating_data(workdir, monkeypatch, capsys,
     out = workdir / "cal_n_out.json"
     assert run_cli(["calibrate", "--n", n, "--d", 2, "--out", out]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["message"] == f"--n must be at least 4, got {n}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--d", 0, "--d must be a positive integer, got 0"),
+    ("--rho", 1.0, "--rho must lie in (-1, 1), got 1.0"),
+    ("--rho", -1.0, "--rho must lie in (-1, 1), got -1.0"),
+], ids=["d=0", "rho=1", "rho=-1"])
+def test_calibrate_checks_d_and_rho_before_the_config_and_data(workdir, monkeypatch, capsys, flag, value, message):
+    monkeypatch.setattr(cli, "gen_gauss_corr", _no_fit)
+    out = workdir / "cal_flag_out.json"
+    argv = ["calibrate", "--n", 600, "--d", 2, flag, value, "--config", workdir / "no_such_config.json"]
+    assert run_cli([*argv, "--out", out]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == message
     assert not out.exists()
 
 
@@ -744,12 +759,35 @@ def test_calibrate_reliability_payload(workdir):
     out = workdir / "calib.json"
     assert run_cli(["calibrate", "--n", 4000, "--seed", 2, "--out", out]) == 0
     payload = read_json(out)
-    assert payload["n_eval"] == 4000
+    assert payload["n_eval"] == 8000  # the held-out half of 4000 rows, both pairings, 2 inner fits
     assert 0.5 < payload["accuracy"] <= 1.0
     assert len(payload["bin_edges"]) == 11
     assert len(payload["mean_predicted"]) == 10
     assert sum(payload["counts"]) == payload["n_eval"]
     assert payload["true_mi"] > 0.0
+
+
+def test_calibrate_reports_on_the_fits_classifier_mi_trains(workdir, monkeypatch):
+    """calibrate pools the held-out logits of the very fits behind a classifier_mi estimate."""
+    calls = []
+
+    def recorded(x, y, cfg, seed):
+        rounds = estimators._classifier_mi_logits(x, y, cfg, seed)
+        calls.append((x, y, cfg, seed, rounds))
+        return rounds
+
+    monkeypatch.setattr(cli, "_classifier_mi_logits", recorded)
+    config, out = workdir / "cal_fits.json", workdir / "cal_fits_out.json"
+    config.write_text(json.dumps({"divergence": {"train": {"epochs": 2}}}), encoding="utf-8")
+    assert run_cli(["calibrate", "--n", 300, "--d", 2, "--seed", 4, "--config", config, "--out", out]) == 0
+    [(x, y, cfg, seed, [fits])] = calls
+    assert len(fits) == cfg.divergence.inner_iterations == 2
+    plugins = [dv_plugin(_sigmoid(lp), _sigmoid(lq), cfg.divergence.clip) for lp, lq in fits]
+    assert float(np.mean(plugins)) == classifier_mi(x, y, cfg, seed).value
+    lp, lq = (np.concatenate(side) for side in zip(*fits))
+    payload = read_json(out)
+    assert payload["n_eval"] == lp.size + lq.size == 600  # 150 held-out rows, both pairings, 2 fits
+    assert payload["accuracy"] == float(np.mean(np.r_[_sigmoid(lp) > 0.5, _sigmoid(lq) <= 0.5]))
 
 
 def test_a_float_field_echoes_as_a_float(workdir):

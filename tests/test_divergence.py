@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cmikit import divergence
 from cmikit.data import derange_rows
 from cmikit.datagen import gen_gauss_corr
 from cmikit.divergence import (
@@ -160,6 +161,16 @@ def test_f_mine_custom_epochs_run():
     )
     est = f_mine_dkl(joint, prod, cfg, seed=3)
     assert np.isfinite(est.value)
+
+
+def test_f_mine_dkl_refuses_clip_before_training(monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("a fit started before clip was checked")
+
+    monkeypatch.setattr(divergence, "process_map", no_fit)
+    joint, prod, _ = joint_and_product(0.6, 40, seed=23)
+    with pytest.raises(ValueError, match="^clip is unused by the critic"):
+        f_mine_dkl(joint, prod, dataclasses.replace(F_MINE_DIVERGENCE, clip=0.1))
 
 
 @pytest.mark.parametrize("estimate, cfg", [

@@ -97,7 +97,7 @@ def test_golden_calibrate_payload(tmp_path):
     out = tmp_path / "calibrate.json"
     assert cli_main(["calibrate", "--n", "600", "--d", "2", "--seed", "1", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "f7be94c32337df8d572a31538675b6b2a485bd60b96cad11719bd3f4ad53bfa0"
+    assert digest == "4477bd21cef701ed5e94a341c9f2f2350dc1db25d3d6e4519496ea6f8383cc58"
 
 
 def test_golden_ccmi():
