@@ -14,6 +14,7 @@ from .data import SampleSet
 from .datagen import generate
 from .estimators import EstimatorConfig, mi_diff_cmi
 from .knn import process_map
+from .nn import check_unread
 from .seeding import derive_seed
 
 __all__ = [
@@ -113,6 +114,7 @@ def run_cit_benchmark(
     derived seed per dataset, so the whole benchmark is a pure function of
     (specs, cfg, seed).  The datasets are scored in parallel by process_map.
     """
+    check_unread("ccmi", cfg)
     specs = tuple(specs)
     if len(specs) < 2:
         raise ValueError("need at least two datasets")

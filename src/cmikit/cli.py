@@ -9,7 +9,6 @@ manifest with enough to reproduce the payload byte for byte.
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -33,7 +32,7 @@ from .estimators import (
     mi_diff_cmi,
 )
 from .knn import ksg_cmi_sweep, ksg_mi, load_scipy, process_map
-from .nn import _sigmoid, check_count, check_type
+from .nn import _sigmoid, check_count, check_type, check_unread
 from .seeding import derive_seed
 
 __all__ = ["main"]
@@ -61,12 +60,16 @@ def _from_dict(base, data, where):
     return dataclasses.replace(base, **kwargs)
 
 
-def _load_estimator_config(path, method=None) -> EstimatorConfig:
-    """The defaults of ``method`` (calibrate's if None) with an optional JSON config file over them."""
+def _load_estimator_config(path, method="calibrate") -> EstimatorConfig:
+    """``method``'s defaults with an optional JSON config file over them; the leaves it never reads may not move."""
     if method == "ksg" and path is not None:
         raise ValueError("--config sets estimator fields, and --method ksg reads none of them")
     base = F_MINE_CONFIG if method == "f-mine-diff" else EstimatorConfig()
-    return base if path is None else _from_dict(base, json.loads(Path(path).read_text(encoding="utf-8")), "")
+    if path is None:
+        return base
+    cfg = _from_dict(base, json.loads(Path(path).read_text(encoding="utf-8")), "")
+    check_unread(method, cfg)
+    return cfg
 
 
 def _neighbor_counts(args):
@@ -194,8 +197,8 @@ def cmd_gen(args):
 
 def cmd_estimate(args):
     ks = _neighbor_counts(args)
-    d, meta = _load_input(args)
     cfg = _load_estimator_config(args.config, args.method)
+    d, meta = _load_input(args)
     result = _estimate(d, args.method, cfg, ks, args.seed)
     payload = {
         "command": "estimate",
@@ -283,11 +286,6 @@ def cmd_calibrate(args):
     if not -1.0 < args.rho < 1.0:
         raise ValueError(f"--rho must lie in (-1, 1), got {args.rho!r}")
     cfg = _load_estimator_config(args.config)
-    for name in ("generator_k", "truncate_negative", "divergence.clip"):
-        keys = name.split(".")
-        if functools.reduce(getattr, keys, cfg) != functools.reduce(getattr, keys, EstimatorConfig()):
-            raise ValueError(f"{name} is not read by calibrate, which reads the net shape, training, "
-                             "bootstrap and inner_iterations")
     d, truth = gen_gauss_corr(args.d, args.rho, args.n, derive_seed(args.seed, 81))
     fits = [f for rnd in _classifier_mi_logits(d.x, d.y, cfg, derive_seed(args.seed, 82)) for f in rnd]
     lp, lq = (np.concatenate(side) for side in zip(*fits))  # every joint row's logit, every rewired row's

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import split_rows
 from .knn import process_map
-from .nn import (MlpArchitecture, TrainConfig, _f_bound, _sigmoid, check_count, predict_logit,
+from .nn import (MlpArchitecture, TrainConfig, _f_bound, _sigmoid, check_count, check_unread, predict_logit,
                  train_binary_classifier, train_f_mine_critic)
 from .seeding import derive_seed
 
@@ -156,11 +156,6 @@ def _critic_estimate(fits) -> DivergenceEstimate:
     return DivergenceEstimate(float(np.mean(values)), values, float("nan"))
 
 
-def _check_critic_clip(cfg: DivergenceConfig) -> None:
-    if cfg.clip != DivergenceConfig.clip:  # the critic has no probabilities
-        raise ValueError(f"clip is unused by the critic; leave it at its default, got {cfg.clip!r}")
-
-
 def _split_each(dp, dq, it_seed):
     """Independent 50/50 splits of the two sides."""
     p_tr, p_ev = split_rows(dp, derive_seed(it_seed, 1))
@@ -216,9 +211,9 @@ def f_mine_dkl(dp, dq, cfg: DivergenceConfig = F_MINE_DIVERGENCE, seed: int = 0)
 
     The critic maximizes E_p[f] - E_q[exp(f-1)] on the training halves; the
     same objective evaluated on the evaluation halves is the estimate.  No
-    probabilities are involved, so ``cfg.clip`` must stay at its default and
-    the accuracy diagnostic is reported as nan.
+    probabilities or weight decay are involved, so ``cfg.clip`` and
+    ``cfg.train.l2_coefficient`` keep their defaults and accuracy is nan.
     """
     dp, dq = _check_pair(dp, dq)
-    _check_critic_clip(cfg)
+    check_unread("f-mine-diff", cfg, "divergence.")
     return _critic_estimate(_held_out_logits(lambda s: _split_each(dp, dq, s), cfg, seed, 22, train_f_mine_critic))

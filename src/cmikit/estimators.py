@@ -13,10 +13,10 @@ from typing import Callable
 import numpy as np
 
 from .data import SampleSet, derange_rows, split_half, split_rows
-from .divergence import (DivergenceConfig, F_MINE_DIVERGENCE, _check_critic_clip, _critic_estimate,
-                         _held_out_logits, _plugin_estimate, classifier_dkl_paired)
+from .divergence import (DivergenceConfig, F_MINE_DIVERGENCE, _critic_estimate, _held_out_logits,
+                         _plugin_estimate, classifier_dkl_paired)
 from .knn import knn_permute_apply, load_scipy, process_map
-from .nn import TrainingDivergedError, check_count, train_binary_classifier, train_f_mine_critic
+from .nn import TrainingDivergedError, check_count, check_unread, train_binary_classifier, train_f_mine_critic
 from .seeding import derive_seed, rng_from
 
 __all__ = [
@@ -55,6 +55,14 @@ class EstimatorConfig:
 
 F_MINE_CONFIG = EstimatorConfig(divergence=F_MINE_DIVERGENCE)  # the critic routes' defaults
 
+# The dotted EstimatorConfig leaves each CLI method (and calibrate) never reads: ``nn.check_unread`` enforces it.
+UNREAD_LEAVES = {
+    "ccmi": ("generator_k",),
+    "f-mine-diff": ("generator_k", "divergence.clip", "divergence.train.l2_coefficient"),
+    "gen-classifier": (),
+    "calibrate": ("generator_k", "truncate_negative", "divergence.clip"),
+}
+
 
 @dataclass(frozen=True)
 class CmiEstimate:
@@ -91,8 +99,6 @@ def _mi_logits(x, y, cfg: EstimatorConfig, seed: int, namespace: int, train) -> 
     the fence in both pairings, so the held-out scores are free of
     memorization bias.
     """
-    if cfg.generator_k != EstimatorConfig.generator_k:
-        raise ValueError(f"generator_k is read only by the generator route, got {cfg.generator_k!r}")
     d = SampleSet(x, y, ())  # checks shapes, row counts and finiteness
     if d.n < 4:
         raise ValueError("need at least 4 samples")
@@ -121,13 +127,14 @@ def classifier_mi(x, y, cfg: EstimatorConfig = EstimatorConfig(), seed: int = 0)
     train/eval split, separately within each part, so nothing the
     discriminator saw in training reappears at evaluation.
     """
+    check_unread("ccmi", cfg)
     vals = [_plugin_estimate(fits, cfg.divergence.clip).value for fits in _classifier_mi_logits(x, y, cfg, seed)]
     return _finish(float(np.mean(vals)), cfg, per_bootstrap=vals)
 
 
 def f_mine_mi(x, y, cfg: EstimatorConfig = F_MINE_CONFIG, seed: int = 0) -> CmiEstimate:
     """I(X;Y) via the critic lower bound instead of the classifier plug-in."""
-    _check_critic_clip(cfg.divergence)
+    check_unread("f-mine-diff", cfg)
     vals = [_critic_estimate(fits).value for fits in _mi_logits(x, y, cfg, seed, 22, train_f_mine_critic)]
     return _finish(float(np.mean(vals)), cfg, per_bootstrap=vals)
 
@@ -264,10 +271,10 @@ def hyperparam_select(d, candidates, estimator: Callable = mi_diff_cmi, seed: in
 
     The plug-in estimates a lower bound, so among configurations the largest
     finite estimate is the principled pick.  Returns (config, estimate).
-    A candidate whose training diverges or that rejects its input
-    (``TrainingDivergedError``, ``ValueError``), or whose estimate is nan or
-    infinite, counts as failed; any other exception propagates.  Raises if
-    every candidate fails.
+    A candidate whose training diverges (``TrainingDivergedError``) or whose
+    estimate is nan or infinite counts as failed.  Any other exception, such
+    as a ``ValueError`` for bad input, a refused config leaf or a shape bug,
+    propagates.  Raises ``RuntimeError`` if every candidate fails.
     """
     candidates = list(candidates)
     if not candidates:
@@ -277,7 +284,7 @@ def hyperparam_select(d, candidates, estimator: Callable = mi_diff_cmi, seed: in
     for cand in candidates:
         try:
             est = estimator(d, cand, seed)
-        except (TrainingDivergedError, ValueError) as exc:  # candidate failures are data
+        except TrainingDivergedError as exc:  # candidate failures are data
             failures.append(str(exc))
             continue
         if not np.isfinite(est.value):

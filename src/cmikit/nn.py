@@ -9,6 +9,7 @@ deterministic given a seed.
 
 import numbers
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "adam_step",
     "train_binary_classifier",
     "train_f_mine_critic",
-    "f_critic_objective",
 ]
 
 
@@ -47,6 +47,17 @@ def check_type(name: str, kind, value) -> None:
         raise ValueError(f"{name} must be true or false, got {value!r}")
     if kind is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def check_unread(method: str, cfg, at: str = "") -> None:
+    """Reject a leaf ``estimators.UNREAD_LEAVES`` lists for ``method`` that left ``method``'s default;
+    ``cfg`` is the part of an ``EstimatorConfig`` at the dotted prefix ``at``, and leaves outside it pass."""
+    from .estimators import F_MINE_CONFIG, UNREAD_LEAVES, EstimatorConfig  # estimators imports this module
+    defaults = F_MINE_CONFIG if method == "f-mine-diff" else EstimatorConfig()
+    for leaf in [name for name in UNREAD_LEAVES[method] if name.startswith(at)]:
+        value = attrgetter(leaf[len(at):])(cfg)
+        if value != attrgetter(leaf)(defaults):
+            raise ValueError(f"{leaf} is not read by {method}; leave it at its default, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -342,11 +353,6 @@ def train_binary_classifier(
     return c
 
 
-def f_critic_objective(c: MlpClassifier, rows_p: np.ndarray, rows_q: np.ndarray) -> float:
-    """Value of the f-divergence lower bound E_p[f] - E_q[exp(f - 1)] for critic f."""
-    return _f_bound(predict_logit(c, rows_p), predict_logit(c, rows_q))
-
-
 def _f_bound(fp: np.ndarray, fq: np.ndarray) -> float:
     return float(np.mean(fp) - np.mean(np.exp(fq - 1.0)))
 
@@ -372,8 +378,7 @@ def train_f_mine_critic(
     weight decay, so ``cfg.l2_coefficient`` must be 0.  The critic route's
     defaults are ``divergence.F_MINE_DIVERGENCE``.
     """
-    if cfg.l2_coefficient != 0.0:
-        raise ValueError(f"l2_coefficient is unused by the critic; set it to 0, got {cfg.l2_coefficient!r}")
+    check_unread("f-mine-diff", cfg, "divergence.train.")
     pos, neg = _balanced_classes(pos, neg, arch, seed)
     c = mlp_init(arch, derive_seed(seed, 0))
     n = pos.shape[0]

@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmikit import cli, divergence, estimators
+from cmikit import cli, cit, divergence, estimators
 from cmikit.cli import _sha256, main
 from cmikit.data import load_csv
 from cmikit.datagen import ModelSpec, generate
 from cmikit.divergence import dv_plugin
-from cmikit.estimators import classifier_mi
+from cmikit.estimators import UNREAD_LEAVES, classifier_mi
 from cmikit.nn import _sigmoid
 
 LINEAR_I_TRUTH = 0.5 * math.log(1.0 + 1.0 / 0.1**2)
@@ -385,8 +385,14 @@ def test_estimate_rejects_bad_counts_before_training(workdir, small_file, monkey
     assert error["message"].startswith(f"{field} must")
 
 
+def _unread(field, method, config):
+    """The refusal of the one leaf ``config`` sets, ``field``, by ``method``."""
+    ((_, value),) = _leaves(config)
+    return f"{field} is not read by {method}; leave it at its default, got {value!r}"
+
+
 @pytest.mark.parametrize("method, config, field", [
-    ("f-mine-diff", {"divergence": {"clip": 0.4}}, "clip"),
+    ("f-mine-diff", {"divergence": {"clip": 0.4}}, "divergence.clip"),
     ("f-mine-diff", {"generator_k": 3}, "generator_k"),
     ("ccmi", {"generator_k": 3}, "generator_k"),
 ])
@@ -400,7 +406,30 @@ def test_estimate_rejects_a_field_its_route_ignores_before_training(
     error = json.loads(capsys.readouterr().out)["error"]
     assert rc == 1
     assert error["type"] == "ValueError"
-    assert error["message"].startswith(f"{field} is ")
+    assert error["message"] == _unread(field, method, config)
+
+
+@pytest.mark.parametrize("command, config, field, method, patched", [
+    ("estimate", {"divergence": {"train": {"l2_coefficient": 0.1}}}, "divergence.train.l2_coefficient",
+     "f-mine-diff", (cli, "_load_input")),
+    ("sweep", {"generator_k": 3}, "generator_k", "ccmi", (cli, "generate")),
+    ("cit", {"generator_k": 3}, "generator_k", "ccmi", (cit, "generate")),
+], ids=["estimate", "sweep", "cit"])
+def test_an_unread_leaf_is_refused_before_any_work(
+        workdir, small_file, monkeypatch, capsys, command, config, field, method, patched):
+    monkeypatch.setattr(*patched, _no_fit)
+    path, out = workdir / "cfg_unread.json", workdir / f"unread_{command}.out"
+    if command == "cit":
+        write_small_cit_config(path, config, n_specs=2)
+        argv = ["cit", "--config", path]
+    else:
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = {"estimate": ["estimate", "--in", small_file],
+                "sweep": ["sweep", "--model", "linear-i", "--n-grid", 300, "--dz-grid", 1]}[command]
+        argv = [*argv, "--method", method, "--config", path]
+    assert run_cli([*argv, "--out", out]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == _unread(field, method, config)
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -469,6 +498,10 @@ def _run_with_config(workdir, capsys, null_file, target, config):
     return rc, figures, payload["config"]
 
 
+# The UNREAD_LEAVES row each target of test_every_config_leaf_acts reads by: cit and the sweep score with ccmi.
+TABLE_ROW = {"cit": "ccmi", "sweep": "ccmi"}
+
+
 @pytest.mark.parametrize("target, start", [
     ("ccmi", ONE_EPOCH),
     ("f-mine-diff", ONE_EPOCH),
@@ -479,11 +512,14 @@ def _run_with_config(workdir, capsys, null_file, target, config):
 ])
 def test_every_config_leaf_acts(workdir, null_file, capsys, target, start):
     """Each leaf of the echoed config, moved off its value, moves the output
-    or fails the run with a message that names it."""
+    or fails the run with the refusal of a leaf the target never reads; the
+    leaves refused are exactly the target's row of ``UNREAD_LEAVES``."""
+    row = TABLE_ROW.get(target, target)
     rc, base, echoed = _run_with_config(workdir, capsys, null_file, target, start)
     assert rc == 0, base
     # so truncate_negative has something to act on; calibrate refuses it
     assert target == "calibrate" or min(base) < 0.0
+    refused = set()
     for path, value in _leaves(echoed):
         name = ".".join(path)
         assert path[-1] in OTHER_LEAF_VALUES, f"no other value for config leaf {name}"
@@ -498,7 +534,9 @@ def test_every_config_leaf_acts(workdir, null_file, capsys, target, start):
         if rc == 0:
             assert out != base, f"{name} = {other!r} left the output alone"
         else:
-            assert rc == 1 and path[-1] in out["message"], (name, out)
+            assert rc == 1 and out["message"] == _unread(name, row, {name: other}), (name, out)
+            refused.add(name)
+    assert refused == set(UNREAD_LEAVES[row])
 
 
 @pytest.mark.parametrize("config, field", [
@@ -513,7 +551,7 @@ def test_calibrate_refuses_a_field_it_does_not_read_before_training(workdir, mon
     out = workdir / "cal_ignored_out.json"
     assert run_cli(["calibrate", "--n", 600, "--d", 2, "--config", path, "--out", out]) == 1
     message = json.loads(capsys.readouterr().out)["error"]["message"]
-    assert message.startswith(f"{field} is not read by calibrate")
+    assert message == _unread(field, "calibrate", config)
     assert not out.exists()
 
 
@@ -586,7 +624,7 @@ def test_cit_single_class_config_fails(workdir, capsys):
 @pytest.mark.parametrize("spec_extra, estimator, parts", [
     ({"rho": 0.9}, {}, ("specs[0]: rho is not read by model 'post-nonlinear'",)),
     ({"colour": 1}, {}, ("specs[0]: ", "'colour'")),
-    ({}, {"generator_k": 3}, ("generator_k is read only by the generator route",)),
+    ({}, {"generator_k": 3}, ("generator_k is not read by ccmi; leave it at its default, got 3",)),
     ({"dependent": "false"}, {}, ("specs[0]: dependent must be true or false",)),
     ({"n": "300"}, {}, ("specs[0]: n must be an integer, got '300'",)),
 ])

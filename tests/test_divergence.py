@@ -169,8 +169,21 @@ def test_f_mine_dkl_refuses_clip_before_training(monkeypatch):
 
     monkeypatch.setattr(divergence, "process_map", no_fit)
     joint, prod, _ = joint_and_product(0.6, 40, seed=23)
-    with pytest.raises(ValueError, match="^clip is unused by the critic"):
+    message = r"^divergence\.clip is not read by f-mine-diff; leave it at its default, got 0\.1$"
+    with pytest.raises(ValueError, match=message):
         f_mine_dkl(joint, prod, dataclasses.replace(F_MINE_DIVERGENCE, clip=0.1))
+
+
+def test_f_mine_dkl_refuses_weight_decay_before_training(monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("a fit started before l2_coefficient was checked")
+
+    monkeypatch.setattr(divergence, "process_map", no_fit)
+    joint, prod, _ = joint_and_product(0.6, 40, seed=23)
+    cfg = dataclasses.replace(F_MINE_DIVERGENCE, train=TrainConfig(l2_coefficient=0.1))
+    message = r"^divergence\.train\.l2_coefficient is not read by f-mine-diff; leave it at its default, got 0\.1$"
+    with pytest.raises(ValueError, match=message):
+        f_mine_dkl(joint, prod, cfg)
 
 
 @pytest.mark.parametrize("estimate, cfg", [

@@ -234,15 +234,52 @@ def test_crippled_candidate_loses_to_default():
 
 
 def test_selection_requires_candidates_and_survives_failures():
+    """No candidates is a ValueError; candidates that all diverge end in RuntimeError."""
     d, _ = gen_gauss_corr(d=1, rho=0.6, n=500, seed=0)
     with pytest.raises(ValueError):
         hyperparam_select((d.x, d.y), [], estimator=mi_on_pair)
 
     def broken(pair, cfg, seed):
-        raise ValueError("no fit")
+        raise TrainingDivergedError("no fit")
 
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="^all 1 candidate configs failed: no fit$"):
         hyperparam_select((d.x, d.y), [EstimatorConfig()], estimator=broken)
+
+
+def test_selection_stops_at_an_input_every_candidate_rejects():
+    d, _ = gen_gauss_corr(d=1, rho=0.6, n=3, seed=0)
+    calls = []
+
+    def counted(pair, cfg, seed):
+        calls.append(cfg)
+        return mi_on_pair(pair, cfg, seed)
+
+    with pytest.raises(ValueError, match="^need at least 4 samples$"):
+        hyperparam_select((d.x, d.y), default_candidates(), estimator=counted)
+    assert len(calls) == 1
+
+
+def _broadcast_bug(d, cfg, seed):
+    return CmiEstimate(float(np.sum(np.ones(3) + np.ones(4))))
+
+
+def _refused_leaf(d, cfg, seed):
+    return mi_on_pair(d, dataclasses.replace(cfg, generator_k=3), seed)
+
+
+@pytest.mark.parametrize("bug, message", [
+    (_broadcast_bug, "^operands could not be broadcast"),
+    (_refused_leaf, "^generator_k is not read by ccmi; leave it at its default, got 3$"),
+], ids=["numpy-shape-bug", "refused-config-leaf"])
+def test_selection_does_not_swallow_a_value_error(bug, message):
+    d, _ = gen_gauss_corr(d=1, rho=0.6, n=200, seed=0)
+    good = with_train(EstimatorConfig(), epochs=1)
+
+    def one_buggy(pair, cfg, seed):  # the second candidate hits the bug
+        return bug(pair, cfg, seed) if cfg is not good else CmiEstimate(0.5)
+
+    with pytest.raises(ValueError, match=message):
+        hyperparam_select((d.x, d.y), [good, EstimatorConfig()], estimator=one_buggy)
 
 
 @pytest.mark.parametrize("values, pick", [((np.nan, 1.0), 1), ((1.0, np.inf), 0), ((-np.inf, -0.5), 1)])

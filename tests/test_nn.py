@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -16,10 +17,10 @@ from cmikit.nn import (
     TrainConfig,
     TrainingDivergedError,
     _check_finite,
+    _f_bound,
     _f_critic_gradients,
     _l2_penalty,
     adam_step,
-    f_critic_objective,
     loss_and_gradients,
     mlp_init,
     predict_logit,
@@ -181,7 +182,8 @@ def test_critic_gradient_matches_finite_differences():
     bp = rng.normal(size=(7, 3))
     bq = rng.normal(0.5, 1.0, size=(5, 3))
     _, gw, gb = _f_critic_gradients(c, bp, bq)
-    assert _finite_difference_agreement(c, gw, gb, lambda: -f_critic_objective(c, bp, bq)) >= 0.99
+    assert _finite_difference_agreement(
+        c, gw, gb, lambda: -_f_bound(predict_logit(c, bp), predict_logit(c, bq))) >= 0.99
 
 
 def test_l2_penalty_has_the_bits_of_per_layer_sums():
@@ -266,10 +268,10 @@ def test_constant_critic_objective():
         w[:] = 0.0
     rows = rng_from(0).normal(size=(20, 2))
     # f == 0 everywhere: objective is 0 - exp(-1)
-    assert f_critic_objective(c, rows, rows) == pytest.approx(-np.exp(-1.0), rel=1e-12)
+    assert _f_bound(predict_logit(c, rows), predict_logit(c, rows)) == pytest.approx(-np.exp(-1.0), rel=1e-12)
     c.biases[-1][:] = 1.0
     # f == 1 is the maximizer over constants, giving exactly 0
-    assert f_critic_objective(c, rows, rows) == pytest.approx(0.0, abs=1e-12)
+    assert _f_bound(predict_logit(c, rows), predict_logit(c, rows)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_f_critic_same_distribution_near_zero():
@@ -283,7 +285,7 @@ def test_f_critic_same_distribution_near_zero():
     c = train_f_mine_critic(pos, neg, MlpArchitecture(2, (64,)), cfg, seed=5)
     held_p = rng.normal(size=(1500, 2))
     held_q = rng.normal(size=(1500, 2))
-    assert abs(f_critic_objective(c, held_p, held_q)) < 0.1
+    assert abs(_f_bound(predict_logit(c, held_p), predict_logit(c, held_q))) < 0.1
 
 
 def test_f_critic_recovers_gaussian_divergence():
@@ -300,7 +302,7 @@ def test_f_critic_recovers_gaussian_divergence():
         epochs=200, l2_coefficient=0.0,
     )
     c = train_f_mine_critic(joint[: n // 2], prod[: n // 2], MlpArchitecture(2, (64,)), cfg, seed=6)
-    est = f_critic_objective(c, joint[n // 2 :], prod[n // 2 :])
+    est = _f_bound(predict_logit(c, joint[n // 2 :]), predict_logit(c, prod[n // 2 :]))
     assert est == pytest.approx(0.22314355, abs=0.15)
 
 
@@ -309,6 +311,15 @@ def test_f_critic_defaults_shape():
     assert F_MINE_DIVERGENCE.train.learning_rate == pytest.approx(1e-4)
     assert F_MINE_DIVERGENCE.train.adam_beta1 == pytest.approx(0.5)
     assert F_MINE_DIVERGENCE.train.epochs == 200
+
+
+def test_f_critic_refuses_weight_decay_before_training(monkeypatch):
+    monkeypatch.setattr(nn, "mlp_init", None)  # a fit that started would call it
+    rng = rng_from(40)
+    pos, neg = rng.normal(size=(40, 2)), rng.normal(size=(40, 2))
+    message = "divergence.train.l2_coefficient is not read by f-mine-diff; leave it at its default, got 0.001"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train_f_mine_critic(pos, neg, MlpArchitecture(2, (4,)), TrainConfig(epochs=1))
 
 
 @pytest.mark.parametrize("train", [train_binary_classifier, train_f_mine_critic])
@@ -356,7 +367,8 @@ def test_critic_epoch_loss_is_the_objective_its_steps_scored():
     pos, neg, arch, cfg = _one_step_epochs(rng_from(45), 40)
     c = train_f_mine_critic(pos, neg, arch, cfg, seed=7)
     fresh = mlp_init(arch, derive_seed(7, 0))
-    assert c.epoch_losses[0] == pytest.approx(-f_critic_objective(fresh, pos, neg), abs=1e-12)
+    bound = _f_bound(predict_logit(fresh, pos), predict_logit(fresh, neg))
+    assert c.epoch_losses[0] == pytest.approx(-bound, abs=1e-12)
 
 
 def test_adam_state_fresh_is_zero():
